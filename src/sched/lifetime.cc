@@ -71,12 +71,29 @@ LifetimeTracker::fitsWithDiff(
     const std::vector<LiveSegment> &removed,
     const std::vector<LiveSegment> &added) const
 {
+    return fitsWithDiff(removed.data(), static_cast<int>(removed.size()),
+                        added.data(), static_cast<int>(added.size()));
+}
+
+bool
+LifetimeTracker::fitsWithDiff(const LiveSegments &removed,
+                              const LiveSegments &added) const
+{
+    return fitsWithDiff(removed.begin(), removed.size(), added.begin(),
+                        added.size());
+}
+
+bool
+LifetimeTracker::fitsWithDiff(const LiveSegment *removed,
+                              int num_removed, const LiveSegment *added,
+                              int num_added) const
+{
     scratch_.assign(live_.data(), live_.size());
     int *counts = scratch_.data();
-    for (const auto &seg : removed)
-        cover(seg, counts, ii_, -1);
-    for (const auto &seg : added)
-        cover(seg, counts, ii_, 1);
+    for (int i = 0; i < num_removed; ++i)
+        cover(removed[i], counts, ii_, -1);
+    for (int i = 0; i < num_added; ++i)
+        cover(added[i], counts, ii_, 1);
     for (int s = 0; s < ii_; ++s) {
         GPSCHED_ASSERT(counts[s] >= 0, "diff removes unknown coverage");
         if (counts[s] > numRegs_)

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "support/arena.hh"
+#include "support/logging.hh"
 
 namespace gpsched
 {
@@ -30,6 +31,42 @@ struct LiveSegment
 
     /** Covered cycles. */
     int length() const { return to - from + 1; }
+};
+
+/**
+ * The registered segments of one (value, cluster) pair. A value is
+ * live over one segment, or two when a spill splits its home
+ * lifetime, so a fixed two-slot value replaces a heap vector on the
+ * placement probe path.
+ */
+class LiveSegments
+{
+  public:
+    void
+    push(const LiveSegment &seg)
+    {
+        GPSCHED_ASSERT(size_ < 2, "more than two live segments");
+        segs_[size_++] = seg;
+    }
+
+    const LiveSegment *begin() const { return segs_; }
+    const LiveSegment *end() const { return segs_ + size_; }
+    bool empty() const { return size_ == 0; }
+    int size() const { return size_; }
+
+    /** Covered cycles summed over the segments. */
+    int
+    totalLength() const
+    {
+        int total = 0;
+        for (const LiveSegment &seg : *this)
+            total += seg.length();
+        return total;
+    }
+
+  private:
+    LiveSegment segs_[2];
+    int size_ = 0;
 };
 
 /** Per-cluster register lifetime tracker. */
@@ -56,6 +93,8 @@ class LifetimeTracker
      */
     bool fitsWithDiff(const std::vector<LiveSegment> &removed,
                       const std::vector<LiveSegment> &added) const;
+    bool fitsWithDiff(const LiveSegments &removed,
+                      const LiveSegments &added) const;
 
     /** Current maximum live count over kernel slots. */
     int maxLive() const;
@@ -84,6 +123,10 @@ class LifetimeTracker
      * schedule that owns the tracker.
      */
     mutable ArenaVector<int> scratch_;
+
+    /** fitsWithDiff() over raw segment ranges. */
+    bool fitsWithDiff(const LiveSegment *removed, int num_removed,
+                      const LiveSegment *added, int num_added) const;
 
     /** Applies +delta to every slot covered by @p seg. */
     void apply(const LiveSegment &seg, int delta);

@@ -34,14 +34,22 @@ usedPct(int used, int total)
     return 100.0 * used / total;
 }
 
-/** Total lifetime length of a segment list. */
-int
-totalLength(const std::vector<LiveSegment> &segs)
+/**
+ * Stable in-place sort of @p items by their first member. The arrays
+ * are bounded by a node's degree, so an insertion sort beats
+ * std::stable_sort and, unlike it, needs no temporary buffer.
+ */
+template <typename Pair>
+void
+stableSortByFirst(std::vector<Pair> &items)
 {
-    int total = 0;
-    for (const auto &seg : segs)
-        total += seg.length();
-    return total;
+    for (std::size_t i = 1; i < items.size(); ++i) {
+        Pair item = items[i];
+        std::size_t j = i;
+        for (; j > 0 && item.first < items[j - 1].first; --j)
+            items[j] = items[j - 1];
+        items[j] = item;
+    }
 }
 
 } // namespace
@@ -185,37 +193,73 @@ PartialSchedule::homeReadTimeValid(const ValueState &vs, int time) const
     return time <= vs.spillSt || time >= reload;
 }
 
-std::vector<LiveSegment>
+PartialSchedule::ReadRanges
+PartialSchedule::validReadRanges(bool spilled, int spill_st,
+                                 int spill_ld, int lo, int hi) const
+{
+    ReadRanges ranges;
+    if (lo > hi)
+        return ranges;
+    if (!spilled) {
+        ranges.r[ranges.n++] = {lo, hi};
+        return ranges;
+    }
+    int reload = spill_ld + machine_.latencies().latency(Opcode::SpillLd);
+    if (lo <= std::min(hi, spill_st))
+        ranges.r[ranges.n++] = {lo, std::min(hi, spill_st)};
+    if (std::max(lo, reload) <= hi)
+        ranges.r[ranges.n++] = {std::max(lo, reload), hi};
+    return ranges;
+}
+
+int
+PartialSchedule::lastEventAfterMove(const std::multiset<int> &events,
+                                    int from, int to)
+{
+    auto pos = events.find(from);
+    GPSCHED_ASSERT(pos != events.end(), "event move of unknown time");
+    // find() yields the first of equal reads, so it is the maximum
+    // itself only when no other read ties with it.
+    auto last = std::prev(events.end());
+    int rest = INT_MIN;
+    if (last != pos)
+        rest = *last;
+    else if (last != events.begin())
+        rest = *std::prev(last);
+    return std::max(rest, to);
+}
+
+LiveSegments
 PartialSchedule::segmentsFromState(int write_cycle, bool has_events,
                                    int last_event, bool home,
                                    int arrival, bool spilled,
                                    int spill_st, int spill_ld) const
 {
-    std::vector<LiveSegment> segs;
+    LiveSegments segs;
     if (home) {
         if (!spilled) {
             int last = write_cycle;
             if (has_events)
                 last = std::max(last, last_event);
-            segs.push_back({write_cycle, last});
+            segs.push({write_cycle, last});
         } else {
             int reload = spill_ld +
                 machine_.latencies().latency(Opcode::SpillLd);
-            segs.push_back({write_cycle, spill_st});
+            segs.push({write_cycle, spill_st});
             int last = has_events ? last_event : INT_MIN;
             if (last >= reload)
-                segs.push_back({reload, last});
+                segs.push({reload, last});
         }
     } else {
         if (!has_events)
             return segs;
         int last = std::max(last_event, arrival);
-        segs.push_back({arrival, last});
+        segs.push({arrival, last});
     }
     return segs;
 }
 
-std::vector<LiveSegment>
+LiveSegments
 PartialSchedule::segmentsFromState(int write_cycle,
                                    const std::multiset<int> &events,
                                    bool home, int arrival, bool spilled,
@@ -228,7 +272,7 @@ PartialSchedule::segmentsFromState(int write_cycle,
                              spill_ld);
 }
 
-std::vector<LiveSegment>
+LiveSegments
 PartialSchedule::currentSegments(NodeId p, int cluster) const
 {
     const ValueState &vs = values_[p];
@@ -248,9 +292,16 @@ PartialSchedule::currentSegments(NodeId p, int cluster) const
                              vs.spilled, vs.spillSt, vs.spillLd);
 }
 
+LiveSegments
+PartialSchedule::registeredSegments(NodeId p, int cluster) const
+{
+    const ValueState &vs = values_[p];
+    auto it = vs.registered.find(cluster);
+    return it == vs.registered.end() ? LiveSegments{} : it->second;
+}
+
 void
-PartialSchedule::setRegistered(NodeId p, int cluster,
-                               std::vector<LiveSegment> segs)
+PartialSchedule::setRegistered(NodeId p, int cluster, LiveSegments segs)
 {
     ValueState &vs = values_[p];
     auto it = vs.registered.find(cluster);
@@ -263,8 +314,10 @@ PartialSchedule::setRegistered(NodeId p, int cluster,
     if (segs.empty()) {
         if (it != vs.registered.end())
             vs.registered.erase(it);
+    } else if (it != vs.registered.end()) {
+        it->second = segs;
     } else {
-        vs.registered[cluster] = std::move(segs);
+        vs.registered.emplace(cluster, segs);
     }
 }
 
@@ -369,27 +422,10 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
     }
 
     // The producer's spill split (if any) restricts home read times to
-    // at most two intervals, so a fixed-size result avoids a heap
-    // allocation per probe.
-    struct ReadRanges
-    {
-        std::pair<int, int> r[2];
-        int n = 0;
-    };
+    // at most two intervals; the node being placed is never spilled.
+    const bool split = vs.spilled && producer != plan.node;
     auto valid_ranges = [&](int lo, int hi) {
-        ReadRanges ranges;
-        if (lo > hi)
-            return ranges;
-        if (!vs.spilled || producer == plan.node) {
-            ranges.r[ranges.n++] = {lo, hi};
-            return ranges;
-        }
-        int reload = vs.spillLd + lat.latency(Opcode::SpillLd);
-        if (lo <= std::min(hi, vs.spillSt))
-            ranges.r[ranges.n++] = {lo, std::min(hi, vs.spillSt)};
-        if (std::max(lo, reload) <= hi)
-            ranges.r[ranges.n++] = {std::max(lo, reload), hi};
-        return ranges;
+        return validReadRanges(split, vs.spillSt, vs.spillLd, lo, hi);
     };
 
     // Bus first, classes probed in cost-model order (within a class
@@ -466,15 +502,32 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
 PlacementPlan
 PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
 {
+    PlacementPlan plan;
+    planInto(v, cluster, cycle, plan);
+    return plan;
+}
+
+void
+PartialSchedule::planInto(NodeId v, int cluster, int cycle,
+                          PlacementPlan &plan) const
+{
     GPSCHED_ASSERT(!isScheduled(v), "node ", v, " already scheduled");
     GPSCHED_ASSERT(cluster >= 0 && cluster < machine_.numClusters(),
                    "cluster out of range");
     const int num_clusters = machine_.numClusters();
 
-    PlacementPlan plan;
+    plan.feasible = false;
     plan.node = v;
     plan.cluster = cluster;
     plan.cycle = cycle;
+    plan.transfers.clear();
+    plan.eventAdds.clear();
+    plan.eventMoves.clear();
+    plan.pairChanges.clear();
+    plan.busSlotsDelta = 0;
+    plan.memSlotsDelta.clear();
+    plan.overheadMemDelta.clear();
+    plan.regCyclesDelta.clear();
 
     const Opcode op = ddg_.node(v).opcode;
     const LatencyTable &lat = machine_.latencies();
@@ -485,38 +538,35 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         if (e.src == v) {
             // Self edge: start(v) >= start(v) + lat - II*dist.
             if (effLat(eid) > 0)
-                return plan;
+                return;
             continue;
         }
         if (!isScheduled(e.src))
             continue;
         if (cycle < placed_[e.src].cycle + effLat(eid))
-            return plan;
+            return;
     }
     for (EdgeId eid : ddg_.outEdges(v)) {
         const DdgEdge &e = ddg_.edge(eid);
         if (e.dst == v || !isScheduled(e.dst))
             continue;
         if (cycle > placed_[e.dst].cycle - effLat(eid))
-            return plan;
+            return;
     }
 
     // --- 2. functional unit ------------------------------------------
     const FuClass cls = fuClassOf(op);
     const int occ = lat.occupancy(op);
     if (!fu(cluster, cls).canReserve(cycle, occ))
-        return plan;
+        return;
 
-    // Deltas are only read off feasible plans; allocating them after
-    // the precedence/FU early-outs keeps rejected probes free of
-    // heap traffic (the window scans reject far more than they keep).
     plan.memSlotsDelta.assign(num_clusters, 0);
     plan.overheadMemDelta.assign(num_clusters, 0);
     plan.regCyclesDelta.assign(num_clusters, 0);
 
     // Every plan vector is bounded by the node degree, so one exact
-    // reservation here replaces the doubling reallocations that used
-    // to dominate the surviving probes' allocation profile.
+    // reservation here replaces the doubling reallocations of a
+    // fresh plan (a reused plan already has the capacity).
     const std::size_t n_in = ddg_.inEdges(v).size();
     const std::size_t n_out = ddg_.outEdges(v).size();
     plan.eventAdds.reserve(n_in + n_out + 1);
@@ -555,14 +605,11 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
 
     // --- 3. incoming values -------------------------------------------
     // Cross-cluster producers, grouped by producer in ascending node
-    // order. A flat (producer, edge) list sorted stably replaces the
-    // former std::map<NodeId, std::vector<EdgeId>>: the iteration
-    // order (sorted keys, insertion order within a key) is identical
-    // and the placement probe loop stops allocating tree nodes.
-    std::vector<std::pair<NodeId, EdgeId>> cross_in;
-    cross_in.reserve(n_in);
-    std::vector<int> own_events; // reads of v's value in its cluster
-    own_events.reserve(n_in + n_out);
+    // order, insertion order within a producer.
+    std::vector<std::pair<NodeId, EdgeId>> &cross_in = crossInScratch_;
+    std::vector<int> &own_events = ownEventsScratch_; // reads of v's value
+    cross_in.clear();
+    own_events.clear();
     for (EdgeId eid : ddg_.inEdges(v)) {
         const DdgEdge &e = ddg_.edge(eid);
         if (!e.isFlow())
@@ -577,17 +624,13 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         int use = cycle + ii_ * e.distance;
         if (placed_[e.src].cluster == cluster) {
             if (!homeReadTimeValid(values_[e.src], use))
-                return plan;
+                return;
             plan.eventAdds.push_back({e.src, cluster, use});
         } else {
             cross_in.emplace_back(e.src, eid);
         }
     }
-    std::stable_sort(cross_in.begin(), cross_in.end(),
-                     [](const std::pair<NodeId, EdgeId> &a,
-                        const std::pair<NodeId, EdgeId> &b) {
-                         return a.first < b.first;
-                     });
+    stableSortByFirst(cross_in);
     for (std::size_t gi = 0; gi < cross_in.size();) {
         const NodeId p = cross_in[gi].first;
         std::size_t ge = gi;
@@ -606,7 +649,7 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
             TransferPlan tp;
             if (!planTransfer(p, cluster, writeCycleOf(p), use_min,
                               plan, tp)) {
-                return plan;
+                return;
             }
             tp.replaces = t_it != vs.transfers.end();
             int home = placed_[p].cluster;
@@ -631,8 +674,8 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
 
     // --- 4. outgoing values to already-scheduled consumers -------------
     // (dest cluster, use) pairs, grouped like cross_in above.
-    std::vector<std::pair<int, int>> cross_out;
-    cross_out.reserve(n_out);
+    std::vector<std::pair<int, int>> &cross_out = crossOutScratch_;
+    cross_out.clear();
     for (EdgeId eid : ddg_.outEdges(v)) {
         const DdgEdge &e = ddg_.edge(eid);
         if (!e.isFlow() || e.dst == v || !isScheduled(e.dst))
@@ -643,11 +686,7 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         else
             cross_out.emplace_back(placed_[e.dst].cluster, use);
     }
-    std::stable_sort(cross_out.begin(), cross_out.end(),
-                     [](const std::pair<int, int> &a,
-                        const std::pair<int, int> &b) {
-                         return a.first < b.first;
-                     });
+    stableSortByFirst(cross_out);
     for (std::size_t gi = 0; gi < cross_out.size();) {
         const int dest = cross_out[gi].first;
         std::size_t ge = gi;
@@ -659,7 +698,7 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         TransferPlan tp;
         if (!planTransfer(v, dest, cycle + latencyOf(v), use_min, plan,
                           tp)) {
-            return plan;
+            return;
         }
         add_transfer_deltas(tp, cluster);
         plan.transfers.push_back(tp);
@@ -677,19 +716,11 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
     }
 
     // --- 5. lifetime changes -------------------------------------------
-    struct PairDelta
-    {
-        std::vector<int> adds;
-        std::vector<std::pair<int, int>> moves;
-        const TransferPlan *newTransfer = nullptr;
-    };
     // Flat (value, cluster) -> delta table: the handful of touched
     // pairs per plan makes a linear probe plus one final sort cheaper
-    // than a std::map, and the sorted-key iteration below stays
-    // byte-identical to the map it replaced.
-    std::vector<std::pair<std::pair<NodeId, int>, PairDelta>> touched;
-    touched.reserve(plan.eventAdds.size() + plan.eventMoves.size() +
-                    plan.transfers.size() + 1);
+    // than a std::map.
+    auto &touched = touchedScratch_;
+    touched.clear();
     auto touch = [&](NodeId val, int cl) -> PairDelta & {
         for (auto &entry : touched) {
             if (entry.first.first == val && entry.first.second == cl)
@@ -698,11 +729,19 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         touched.emplace_back(std::make_pair(val, cl), PairDelta{});
         return touched.back().second;
     };
-    for (const auto &ea : plan.eventAdds)
-        touch(ea.value, ea.cluster).adds.push_back(ea.time);
+    for (const auto &ea : plan.eventAdds) {
+        PairDelta &delta = touch(ea.value, ea.cluster);
+        delta.lastAdd = delta.hasAdds ? std::max(delta.lastAdd, ea.time)
+                                      : ea.time;
+        delta.hasAdds = true;
+    }
     for (const auto &em : plan.eventMoves) {
-        touch(em.value, em.cluster)
-            .moves.push_back({em.oldTime, em.newTime});
+        // Moves come from replaced transfers, one per producer.
+        PairDelta &delta = touch(em.value, em.cluster);
+        GPSCHED_ASSERT(!delta.hasMove, "two event moves on one pair");
+        delta.hasMove = true;
+        delta.moveFrom = em.oldTime;
+        delta.moveTo = em.newTime;
     }
     for (const auto &tp : plan.transfers) {
         touch(tp.transfer.producer, tp.transfer.destCluster)
@@ -722,41 +761,28 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         pc.value = val;
         pc.cluster = cl;
         const ValueState &vs = values_[val];
-        auto reg_it = vs.registered.find(cl);
-        if (reg_it != vs.registered.end())
-            pc.before = reg_it->second;
+        pc.before = registeredSegments(val, cl);
 
         // segmentsFromState only needs the presence and maximum of
-        // the read events, so the common no-move case derives both
-        // without copying the multiset; event moves can lower the
-        // maximum, so they fall back to a working copy.
+        // the read events, so both are derived without copying the
+        // event set.
         auto ev_it = vs.events.find(cl);
         bool has_events = false;
         int last_event = INT_MIN;
-        if (delta.moves.empty()) {
-            if (ev_it != vs.events.end() && !ev_it->second.empty()) {
-                has_events = true;
-                last_event = *ev_it->second.rbegin();
-            }
-        } else {
-            std::multiset<int> events;
-            if (ev_it != vs.events.end())
-                events = ev_it->second;
-            for (const auto &[from, to] : delta.moves) {
-                auto pos = events.find(from);
-                GPSCHED_ASSERT(pos != events.end(),
-                               "event move of unknown time");
-                events.erase(pos);
-                events.insert(to);
-            }
-            if (!events.empty()) {
-                has_events = true;
-                last_event = *events.rbegin();
-            }
-        }
-        for (int t : delta.adds) {
+        if (delta.hasMove) {
+            GPSCHED_ASSERT(ev_it != vs.events.end(),
+                           "event move of unknown time");
             has_events = true;
-            last_event = std::max(last_event, t);
+            last_event = lastEventAfterMove(ev_it->second,
+                                            delta.moveFrom,
+                                            delta.moveTo);
+        } else if (ev_it != vs.events.end() && !ev_it->second.empty()) {
+            has_events = true;
+            last_event = *ev_it->second.rbegin();
+        }
+        if (delta.hasAdds) {
+            has_events = true;
+            last_event = std::max(last_event, delta.lastAdd);
         }
 
         bool home = val == v ? cl == cluster
@@ -774,12 +800,13 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
                                      home, arrival, spilled,
                                      vs.spillSt, vs.spillLd);
         plan.regCyclesDelta[cl] +=
-            totalLength(pc.after) - totalLength(pc.before);
-        plan.pairChanges.push_back(std::move(pc));
+            pc.after.totalLength() - pc.before.totalLength();
+        plan.pairChanges.push_back(pc);
     }
 
     // --- 6. register feasibility per cluster ---------------------------
-    std::vector<LiveSegment> removed, added;
+    std::vector<LiveSegment> &removed = removedScratch_;
+    std::vector<LiveSegment> &added = addedScratch_;
     for (int c = 0; c < num_clusters; ++c) {
         removed.clear();
         added.clear();
@@ -793,17 +820,19 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         if (removed.empty() && added.empty())
             continue;
         if (!regs_[c].fitsWithDiff(removed, added))
-            return plan;
+            return;
     }
 
     plan.feasible = true;
-    return plan;
 }
 
-PlacementPlan
-PartialSchedule::planInWindow(NodeId v, int cluster, int from,
-                              int to) const
+bool
+PartialSchedule::planInWindow(NodeId v, int cluster, int from, int to,
+                              PlacementPlan &plan) const
 {
+    plan.feasible = false;
+    plan.node = v;
+    plan.cluster = cluster;
     const ModuloReservationTable &unit =
         fu(cluster, fuClassOf(ddg_.node(v).opcode));
     const int occ = occupancyOf(v);
@@ -815,17 +844,21 @@ PartialSchedule::planInWindow(NodeId v, int cluster, int from,
         cycle = unit.firstFit(cycle, to, occ);
         if (cycle == INT_MIN)
             break;
-        PlacementPlan plan = planPlacement(v, cluster, cycle);
-        if (plan.feasible)
-            return plan;
-        if (cycle == to)
+        planInto(v, cluster, cycle, plan);
+        if (plan.feasible || cycle == to)
             break;
         cycle += step;
     }
-    PlacementPlan fail;
-    fail.node = v;
-    fail.cluster = cluster;
-    return fail;
+    return plan.feasible;
+}
+
+PlacementPlan
+PartialSchedule::planInWindow(NodeId v, int cluster, int from,
+                              int to) const
+{
+    PlacementPlan plan;
+    planInWindow(v, cluster, from, to, plan);
+    return plan;
 }
 
 void
@@ -885,6 +918,7 @@ PartialSchedule::apply(const PlacementPlan &plan)
         .reserve(plan.cycle, occupancyOf(plan.node));
     placed_[plan.node] = {true, plan.cluster, plan.cycle};
     ++numScheduled_;
+    ++version_;
 
     for (const auto &em : plan.eventMoves) {
         auto &events = values_[em.value].events[em.cluster];

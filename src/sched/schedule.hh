@@ -27,17 +27,22 @@
  * Placement is two-phase: planPlacement() is a pure feasibility
  * check that returns a PlacementPlan describing every reservation
  * and lifetime change the insertion would make; apply() commits a
- * plan atomically. Figures of merit are computed from plans without
- * mutating anything, which is how URACAM compares per-cluster
- * alternatives cheaply. Only spill and communication ops are ever
- * unscheduled (by the transformation engine in transforms.cc).
+ * plan atomically. The probe path keeps its working storage in
+ * per-schedule scratch, so a warmed schedule rejects candidate
+ * cycles without touching the heap. Figures of merit are computed
+ * from plans without mutating anything, which is how URACAM compares
+ * per-cluster alternatives cheaply. Only spill and communication ops
+ * are ever unscheduled (by the transformation engine in
+ * transforms.cc).
  */
 
 #ifndef GPSCHED_SCHED_SCHEDULE_HH
 #define GPSCHED_SCHED_SCHEDULE_HH
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "graph/ddg.hh"
@@ -139,8 +144,8 @@ struct PairChange
 {
     NodeId value = invalidNode;
     int cluster = -1;
-    std::vector<LiveSegment> before; ///< currently registered
-    std::vector<LiveSegment> after;  ///< segments once applied
+    LiveSegments before; ///< currently registered
+    LiveSegments after;  ///< segments once applied
 };
 
 /** Planned register-read event insertion. */
@@ -256,13 +261,28 @@ class PartialSchedule
 
     /**
      * Scans cycles from @p from towards @p to (either direction,
-     * inclusive) and returns the first feasible plan.
+     * inclusive) for the first feasible placement, planning every
+     * candidate cycle into @p plan. The plan's vectors are cleared,
+     * never shrunk, so a caller that reuses one plan scans without
+     * allocating. Returns plan.feasible.
      */
+    bool planInWindow(NodeId v, int cluster, int from, int to,
+                      PlacementPlan &plan) const;
+
+    /** planInWindow() into a fresh plan. */
     PlacementPlan planInWindow(NodeId v, int cluster, int from,
                                int to) const;
 
     /** Commits a feasible plan. State must be unchanged since plan. */
     void apply(const PlacementPlan &plan);
+
+    /**
+     * Mutation counter: apply() and every committed transformation
+     * bump it, and nothing else changes the schedule (a rejected
+     * transformation restores exactly what it touched). Equal
+     * versions therefore mean equal state.
+     */
+    std::uint64_t version() const { return version_; }
 
     /**
      * Figure of merit of inserting @p plan (Section 3.3.1 plus the
@@ -301,7 +321,8 @@ class PartialSchedule
     /**
      * Applies transformations while they improve the global figure
      * of merit, starting with the most saturated resource
-     * (Section 3.3.3). Returns the number applied.
+     * (Section 3.3.3). Returns the number applied. A probe that
+     * failed at the current version() is not retried.
      */
     int runTransformations();
 
@@ -368,7 +389,25 @@ class PartialSchedule
         int spillLd = 0;
 
         /** Segments currently registered with the trackers. */
-        std::map<int, std::vector<LiveSegment>> registered;
+        std::map<int, LiveSegments> registered;
+    };
+
+    /** At most two read windows: a spill splits one window in two. */
+    struct ReadRanges
+    {
+        std::pair<int, int> r[2];
+        int n = 0;
+    };
+
+    /** Per-(value, cluster) summary of a plan's register reads. */
+    struct PairDelta
+    {
+        bool hasAdds = false;
+        int lastAdd = 0;
+        bool hasMove = false;
+        int moveFrom = 0;
+        int moveTo = 0;
+        const TransferPlan *newTransfer = nullptr;
     };
 
     const Ddg &ddg_;
@@ -387,6 +426,32 @@ class PartialSchedule
         claimedBusScratch_;
     mutable std::vector<std::pair<int, int>> claimedHomeMemScratch_;
     mutable std::vector<std::pair<int, int>> claimedDestMemScratch_;
+
+    /**
+     * planInto() scratch, same contract as the planTransfer() scratch
+     * above: cross-cluster producers as (producer, edge), consumers
+     * as (dest cluster, use), reads of the placed value in its own
+     * cluster, the touched (value, cluster) pairs, and one cluster's
+     * removed/added segments for the register check.
+     */
+    mutable std::vector<std::pair<NodeId, EdgeId>> crossInScratch_;
+    mutable std::vector<std::pair<int, int>> crossOutScratch_;
+    mutable std::vector<int> ownEventsScratch_;
+    mutable std::vector<std::pair<std::pair<NodeId, int>, PairDelta>>
+        touchedScratch_;
+    mutable std::vector<LiveSegment> removedScratch_;
+    mutable std::vector<LiveSegment> addedScratch_;
+
+    /** See version(). */
+    std::uint64_t version_ = 0;
+
+    /**
+     * version() at which each TransformEngine::run() probe last
+     * failed (UINT64_MAX = never), indexed as transforms.cc lays the
+     * probes out. A failed probe restores every bit of state it
+     * touched, so it would fail again until the version moves.
+     */
+    std::vector<std::uint64_t> probeFailedAt_;
 
     std::vector<PlacedOp> placed_;
     int numScheduled_ = 0;
@@ -422,29 +487,52 @@ class PartialSchedule
     bool homeReadTimeValid(const ValueState &vs, int time) const;
 
     /**
+     * Sub-windows of [@p lo, @p hi] in which a home-register read of
+     * a value is valid given its spill split (the whole window when
+     * not @p spilled).
+     */
+    ReadRanges validReadRanges(bool spilled, int spill_st,
+                               int spill_ld, int lo, int hi) const;
+
+    /**
+     * Latest read event of @p events once one read moves from
+     * @p from (which must be present) to @p to.
+     */
+    static int lastEventAfterMove(const std::multiset<int> &events,
+                                  int from, int to);
+
+    /**
      * Lifetime segments of (value, cluster) given explicit logical
      * state (pure; used for both current and hypothetical states).
      * Only the presence and the maximum of the read events matter,
      * so the primary overload takes exactly those; the multiset
      * overload is a convenience wrapper for callers that already
-     * hold an event set (transforms.cc).
+     * hold an event set.
      */
-    std::vector<LiveSegment>
-    segmentsFromState(int write_cycle, bool has_events, int last_event,
-                      bool home, int arrival, bool spilled,
-                      int spill_st, int spill_ld) const;
-    std::vector<LiveSegment>
-    segmentsFromState(int write_cycle, const std::multiset<int> &events,
-                      bool home, int arrival, bool spilled,
-                      int spill_st, int spill_ld) const;
+    LiveSegments segmentsFromState(int write_cycle, bool has_events,
+                                   int last_event, bool home,
+                                   int arrival, bool spilled,
+                                   int spill_st, int spill_ld) const;
+    LiveSegments segmentsFromState(int write_cycle,
+                                   const std::multiset<int> &events,
+                                   bool home, int arrival, bool spilled,
+                                   int spill_st, int spill_ld) const;
 
     /** Current segments of (value, cluster) from logical state. */
-    std::vector<LiveSegment> currentSegments(NodeId p,
-                                             int cluster) const;
+    LiveSegments currentSegments(NodeId p, int cluster) const;
+
+    /** Registered segments of (value, cluster); empty when none. */
+    LiveSegments registeredSegments(NodeId p, int cluster) const;
 
     /** Re-registers (value, cluster) segments to match @p segs. */
-    void setRegistered(NodeId p, int cluster,
-                       std::vector<LiveSegment> segs);
+    void setRegistered(NodeId p, int cluster, LiveSegments segs);
+
+    /**
+     * planPlacement() into @p plan, whose vectors are cleared but
+     * keep their capacity.
+     */
+    void planInto(NodeId v, int cluster, int cycle,
+                  PlacementPlan &plan) const;
 
     /**
      * Finds the first free slot for @p occupancy units in @p mrt

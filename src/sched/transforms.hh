@@ -47,9 +47,22 @@ class TransformEngine
     /**
      * Applies transformations most-saturated-resource first until no
      * improvement remains (paper Section 3.3.3). Returns the number
-     * of transformations applied.
+     * of transformations applied. Probes that failed at the
+     * schedule's current version() are skipped.
      */
     static int run(PartialSchedule &ps);
+
+  private:
+    /**
+     * Re-routes @p p's communication @p t as @p repl (moving its home
+     * read and its arrival) when registers allow and the global
+     * figure of merit improves; otherwise restores every bit of
+     * state it touched. @p dest_events are the reads of the value in
+     * the destination cluster.
+     */
+    static bool replaceTransfer(PartialSchedule &ps, NodeId p,
+                                Transfer &t, const Transfer &repl,
+                                const std::multiset<int> &dest_events);
 };
 
 } // namespace gpsched

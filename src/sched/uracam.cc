@@ -1,6 +1,7 @@
 #include "sched/uracam.hh"
 
 #include <climits>
+#include <utility>
 #include <vector>
 
 #include "sched/sms_order.hh"
@@ -20,8 +21,8 @@ bool
 ModuloScheduler::placeNode(PartialSchedule &ps, NodeId v,
                            ClusterPolicy policy,
                            const Partition *assignment,
-                           const DdgAnalysis &analysis,
-                           bool deviate) const
+                           const DdgAnalysis &analysis, bool deviate,
+                           PlanScratch &plans) const
 {
     const int ii = ps.ii();
     const LatencyTable &lat = machine_.latencies();
@@ -73,62 +74,56 @@ ModuloScheduler::placeNode(PartialSchedule &ps, NodeId v,
         to = std::min(late, early + span - 1);
     }
 
-    // Candidate clusters in policy order. A deviating PreferAssigned
-    // attempt considers everything but the assigned cluster (which
-    // the non-deviating attempts have already exhausted).
-    std::vector<int> clusters;
+    // Candidate clusters, in ascending order. A deviating
+    // PreferAssigned attempt considers everything but the assigned
+    // cluster (which the non-deviating attempts have already
+    // exhausted).
     int assigned = -1;
     if (policy != ClusterPolicy::FreeChoice) {
         GPSCHED_ASSERT(assignment != nullptr,
                        "partition required for this cluster policy");
         assigned = assignment->clusterOf(v);
     }
-    switch (policy) {
-      case ClusterPolicy::AssignedOnly:
-        clusters.push_back(assigned);
-        break;
-      case ClusterPolicy::PreferAssigned:
-        if (!deviate) {
-            clusters.push_back(assigned);
-        } else {
-            for (int c = 0; c < machine_.numClusters(); ++c) {
-                if (c != assigned)
-                    clusters.push_back(c);
-            }
+    auto candidate = [&](int c) {
+        switch (policy) {
+          case ClusterPolicy::AssignedOnly:
+            return c == assigned;
+          case ClusterPolicy::PreferAssigned:
+            return deviate ? c != assigned : c == assigned;
+          case ClusterPolicy::FreeChoice:
+            return true;
         }
-        break;
-      case ClusterPolicy::FreeChoice:
-        for (int c = 0; c < machine_.numClusters(); ++c)
-            clusters.push_back(c);
-        break;
-    }
+        return false;
+    };
+    int num_candidates = 0;
+    for (int c = 0; c < machine_.numClusters(); ++c)
+        num_candidates += candidate(c);
 
     // One alternative partial schedule per cluster with resources;
     // the figure of merit picks the winner (Section 3.3.3). With a
     // single candidate the figure of merit decides nothing, so the
     // first feasible plan is committed directly.
     bool have_best = false;
-    PlacementPlan best;
     FigureOfMerit best_fom;
-    for (int c : clusters) {
-        PlacementPlan plan = ps.planInWindow(v, c, from, to);
-        if (!plan.feasible)
+    for (int c = 0; c < machine_.numClusters(); ++c) {
+        if (!candidate(c) ||
+            !ps.planInWindow(v, c, from, to, plans.candidate))
             continue;
-        if (clusters.size() == 1) {
-            ps.apply(plan);
+        if (num_candidates == 1) {
+            ps.apply(plans.candidate);
             return true;
         }
-        FigureOfMerit fom = ps.insertionFom(plan);
+        FigureOfMerit fom = ps.insertionFom(plans.candidate);
         if (!have_best ||
             FigureOfMerit::better(fom, best_fom, ps.fomThreshold())) {
-            best = std::move(plan);
+            std::swap(plans.best, plans.candidate);
             best_fom = std::move(fom);
             have_best = true;
         }
     }
     if (!have_best)
         return false;
-    ps.apply(best);
+    ps.apply(plans.best);
     return true;
 }
 
@@ -158,14 +153,17 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
     if (!smsSets_)
         smsSets_.emplace(computeSmsNodeSets(ddg_, &*sccs_));
     std::vector<NodeId> order = smsOrder(ddg_, analysis, *smsSets_);
+    PlanScratch plans;
     for (NodeId v : order) {
-        if (placeNode(ps, v, policy, assignment, analysis, false)) {
+        if (placeNode(ps, v, policy, assignment, analysis, false,
+                      plans)) {
             relieveNearCritical();
             continue;
         }
         // Shift pressure between resource types and retry once.
         if (ps.runTransformations() > 0 &&
-            placeNode(ps, v, policy, assignment, analysis, false))
+            placeNode(ps, v, policy, assignment, analysis, false,
+                      plans))
             continue;
         // GP only: the assigned cluster is beyond saving at this II,
         // so deviate from the partition (Figure 1, alternative (b)).
@@ -175,7 +173,8 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
         // that trajectory either, because deviation only happens once
         // it is already dead at this II.
         if (policy == ClusterPolicy::PreferAssigned &&
-            placeNode(ps, v, policy, assignment, analysis, true)) {
+            placeNode(ps, v, policy, assignment, analysis, true,
+                      plans)) {
             relieveNearCritical();
             continue;
         }

@@ -94,6 +94,13 @@ class ModuloScheduler
     mutable std::optional<SccDecomposition> sccs_;
     mutable std::optional<SmsNodeSets> smsSets_;
 
+    /** Placement plans one schedule() attempt reuses for every node. */
+    struct PlanScratch
+    {
+        PlacementPlan candidate;
+        PlacementPlan best;
+    };
+
     /**
      * Places one node; returns false when no allowed cluster accepts
      * it. @p deviate widens a PreferAssigned attempt from the
@@ -102,8 +109,8 @@ class ModuloScheduler
      */
     bool placeNode(PartialSchedule &ps, NodeId v, ClusterPolicy policy,
                    const Partition *assignment,
-                   const DdgAnalysis &analysis,
-                   bool deviate) const;
+                   const DdgAnalysis &analysis, bool deviate,
+                   PlanScratch &plans) const;
 };
 
 } // namespace gpsched
