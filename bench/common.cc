@@ -214,42 +214,6 @@ benchSuiteWithFuzz(const LatencyTable &lat,
     return suite;
 }
 
-namespace
-{
-
-/** The engine/cache statistics block shared by both JSON schemas
- *  (cold/warm disk traffic included so the nightly trajectory can
- *  gate on warm-run hit rates). */
-void
-writeEngineStatsJson(JsonWriter &json, const Engine &engine)
-{
-    EngineStats stats = engine.stats();
-    json.beginObject("engine");
-    json.member("jobs", engine.jobs());
-    json.member("jobsSubmitted", stats.jobsSubmitted);
-    json.member("cacheHits", stats.cacheHits);
-    json.member("cacheMisses", stats.cacheMisses);
-    json.member("coalesced", stats.coalesced);
-    json.member("failed", stats.failed);
-    json.member("hitRate", stats.hitRate());
-    json.member("cacheDir", engine.diskCache()
-                                ? engine.diskCache()->dir()
-                                : std::string());
-    json.member("diskHits", stats.diskHits);
-    json.member("diskMisses", stats.diskMisses);
-    json.member("diskStores", stats.diskStores);
-    json.member("corruptEvicted", stats.corruptEvicted);
-    json.member("diskHitRate", stats.diskHitRate());
-    // Additive phase breakdown (empty when the engine did not
-    // collect phases, e.g. pre-telemetry consumers' replays).
-    CompileTrace phases = engine.phaseTotals();
-    if (!phases.empty())
-        writeCompileTracePhases(json, "phases", phases);
-    json.endObject();
-}
-
-} // namespace
-
 void
 replaySuiteOrDie(bool enabled, const std::vector<Program> &suite,
                  const SuiteResult &result,
@@ -383,7 +347,9 @@ writePanelsJson(std::ostream &os, const std::string &benchName,
         json.endObject();
     }
     json.endArray();
-    writeEngineStatsJson(json, engine);
+    json.beginObject("engine");
+    engine.writeStatsJson(json);
+    json.endObject();
     json.endObject();
 }
 
@@ -448,8 +414,11 @@ writeMetricTablesJson(std::ostream &os, const std::string &benchName,
         json.endObject();
     }
     json.endArray();
-    if (engine)
-        writeEngineStatsJson(json, *engine);
+    if (engine) {
+        json.beginObject("engine");
+        engine->writeStatsJson(json);
+        json.endObject();
+    }
     json.endObject();
 }
 

@@ -47,16 +47,16 @@ plannedMemOps(const Ddg &ddg, const MachineConfig &machine,
     return planned;
 }
 
-/**
- * Copies the final schedule out of @p ps into the serializable
- * CompiledLoop payload: per-node placements, the transfer list
- * (sorted by (producer, destCluster) — transfersOf already keys by
- * destination) and spill splits.
- */
+} // namespace
+
 void
 recordSchedule(const Ddg &ddg, const PartialSchedule &ps,
                CompiledLoop &out)
 {
+    out.moduloScheduled = true;
+    out.ii = ps.ii();
+    out.scheduleLength = ps.scheduleLength();
+    out.stats = ps.stats();
     out.placements.resize(ddg.numNodes());
     for (NodeId v = 0; v < ddg.numNodes(); ++v) {
         out.placements[v] =
@@ -70,8 +70,6 @@ recordSchedule(const Ddg &ddg, const PartialSchedule &ps,
         }
     }
 }
-
-} // namespace
 
 LoopCompiler::LoopCompiler(const MachineConfig &machine,
                            SchedulerKind kind,
@@ -159,10 +157,6 @@ LoopCompiler::compile(const Ddg &ddg) const
                 scheduler.schedule(ps, attempt_policy, assignment);
         }
         if (scheduled) {
-            out.moduloScheduled = true;
-            out.ii = ii;
-            out.scheduleLength = ps.scheduleLength();
-            out.stats = ps.stats();
             recordSchedule(ddg, ps, out);
             if (partitioned) {
                 out.partition.resize(ddg.numNodes());

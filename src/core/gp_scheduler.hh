@@ -193,6 +193,17 @@ struct CompiledLoop
     std::vector<int> partition;
 };
 
+/**
+ * Copies the complete schedule @p ps of @p ddg into @p out's
+ * schedule record: moduloScheduled, ii, scheduleLength, stats,
+ * per-node placements, the transfer list (sorted by (producer,
+ * destCluster) — transfersOf already keys by destination) and spill
+ * splits. This is how a live schedule reaches the oracles, which
+ * read records only.
+ */
+void recordSchedule(const Ddg &ddg, const PartialSchedule &ps,
+                    CompiledLoop &out);
+
 /** Compiles loops for one machine with one scheme. */
 class LoopCompiler
 {

@@ -23,7 +23,9 @@ aggregateProgram(const Program &program,
     ProgramResult result;
     result.name = program.name;
     result.loops.reserve(results.size());
-    for (CompileResult &item : results) {
+    result.loopIndex.reserve(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        CompileResult &item = results[i];
         if (!item.ok()) {
             GPSCHED_WARN("skipping loop '", item.error->loopName(),
                          "' of program '", program.name,
@@ -39,6 +41,7 @@ aggregateProgram(const Program &program,
         if (!compiled.moduloScheduled)
             ++result.listScheduled;
         result.loops.push_back(std::move(compiled));
+        result.loopIndex.push_back(i);
     }
     result.ipc = ipcOf(result.totalOps, result.totalCycles);
     return result;

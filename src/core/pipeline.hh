@@ -24,6 +24,7 @@
 #ifndef GPSCHED_CORE_PIPELINE_HH
 #define GPSCHED_CORE_PIPELINE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -54,6 +55,10 @@ struct ProgramResult
     /** Successfully compiled loops, in submission order; loops that
      *  failed are absent here and recorded in failures instead. */
     std::vector<CompiledLoop> loops;
+
+    /** Index into Program::loops of the DDG each entry of loops was
+     *  compiled from (parallel to loops). */
+    std::vector<std::size_t> loopIndex;
 
     /** Per-loop diagnostics of the loops that failed to compile
      *  (excluded from every aggregate below). */

@@ -1,5 +1,6 @@
 #include "engine/engine.hh"
 
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/timer.hh"
 
@@ -357,6 +358,30 @@ Engine::phaseTotals() const
 {
     std::lock_guard<std::mutex> lock(totalsMutex_);
     return totals_;
+}
+
+void
+Engine::writeStatsJson(JsonWriter &json) const
+{
+    EngineStats s = stats();
+    json.member("jobs", jobs_);
+    json.member("jobsSubmitted", s.jobsSubmitted);
+    json.member("cacheHits", s.cacheHits);
+    json.member("cacheMisses", s.cacheMisses);
+    json.member("coalesced", s.coalesced);
+    json.member("failed", s.failed);
+    json.member("hitRate", s.hitRate());
+    json.member("cacheDir", disk_ ? disk_->dir() : std::string());
+    json.member("diskHits", s.diskHits);
+    json.member("diskMisses", s.diskMisses);
+    json.member("diskStores", s.diskStores);
+    json.member("corruptEvicted", s.corruptEvicted);
+    json.member("diskHitRate", s.diskHitRate());
+    // Additive: phase breakdown only when the engine collected one,
+    // so pre-telemetry consumers of this block are unaffected.
+    CompileTrace phases = phaseTotals();
+    if (!phases.empty())
+        writeCompileTracePhases(json, "phases", phases);
 }
 
 void

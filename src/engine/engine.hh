@@ -260,6 +260,14 @@ class Engine
      */
     void exportStats(MetricRegistry &registry) const;
 
+    /**
+     * Writes the lifetime counters, hit rates, the persistent cache
+     * directory ("" when none) and the phase totals (when collected)
+     * as members of the object @p json has open — the engine block
+     * of the bench and gpsched_cli JSON reports.
+     */
+    void writeStatsJson(JsonWriter &json) const;
+
     /** This engine's pid in emitted Chrome trace events. */
     std::uint32_t tracePid() const { return pid_; }
 

@@ -26,9 +26,10 @@
  * recounts) or a recorded CompiledLoop (same structural checks on
  * the serialized placement/transfer/spill record).
  *
- * Grew up in tests/testing/ (PR 1); promoted into the library so the
- * CLI, benches, and the simulator's differential tests can all call
- * it. tests/testing/validate.hh remains as a source-compatible shim.
+ * The record contract (sim::checkRecord in sim/replay.hh) pairs the
+ * CompiledLoop overload with the replay simulator; the
+ * PartialSchedule overload backs the tests that also recount the
+ * scheduler's MaxLive bookkeeping.
  */
 
 #ifndef GPSCHED_SCHED_VALIDATE_HH

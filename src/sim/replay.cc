@@ -2,75 +2,103 @@
 
 #include <sstream>
 
-#include "sim/sim.hh"
+#include "sched/validate.hh"
+#include "support/logging.hh"
 
 namespace gpsched::sim
 {
+
+const char *
+toString(RecordVerdict verdict)
+{
+    switch (verdict) {
+      case RecordVerdict::Pass:
+        return "pass";
+      case RecordVerdict::OracleDisagree:
+        return "oracle-disagree";
+      case RecordVerdict::ScheduleRejected:
+        return "schedule-rejected";
+      case RecordVerdict::MetricMismatch:
+        return "metric-mismatch";
+    }
+    return "?";
+}
+
+RecordCheck
+checkRecord(const Ddg &ddg, const MachineConfig &machine,
+            const CompiledLoop &loop)
+{
+    RecordCheck check;
+    check.sim = simulate(ddg, machine, loop);
+    const SimResult &s = check.sim;
+    auto fail = [&](RecordVerdict verdict, std::string detail) {
+        check.verdict = verdict;
+        check.detail = std::move(detail);
+        return check;
+    };
+    const std::string fault = s.fault ? s.fault->toString() : "ok";
+
+    if (loop.moduloScheduled) {
+        ValidationResult v = validateSchedule(ddg, machine, loop);
+        if (v.valid != s.simOk) {
+            return fail(RecordVerdict::OracleDisagree,
+                        "validator says '" +
+                            (v.valid ? std::string("ok") : v.message) +
+                            "', simulator says " + fault);
+        }
+        if (!v.valid) {
+            return fail(RecordVerdict::ScheduleRejected,
+                        "validator: " + v.message +
+                            "; simulator: " + fault);
+        }
+    } else if (!s.simOk) {
+        return fail(RecordVerdict::ScheduleRejected,
+                    "simulator rejects list-scheduled record: " +
+                        fault);
+    }
+
+    const bool iiOk = !loop.moduloScheduled || s.achievedII == loop.ii;
+    if (iiOk && s.simCycles == loop.cycles && s.achievedIpc == loop.ipc)
+        return check;
+    std::ostringstream mm;
+    const char *sep = "";
+    if (!iiOk) {
+        mm << "achievedII " << s.achievedII << " != ii " << loop.ii;
+        sep = "; ";
+    }
+    if (s.simCycles != loop.cycles) {
+        mm << sep << "simCycles " << s.simCycles << " != cycles "
+           << loop.cycles;
+        sep = "; ";
+    }
+    if (s.achievedIpc != loop.ipc)
+        mm << sep << "achievedIpc " << s.achievedIpc << " != ipc "
+           << loop.ipc;
+    return fail(RecordVerdict::MetricMismatch, mm.str());
+}
 
 namespace
 {
 
 void
-mismatch(ReplayReport &report, const std::string &program,
-         const std::string &loop, std::string detail)
-{
-    report.mismatches.push_back({program, loop, std::move(detail)});
-}
-
-void
-replayOne(ReplayReport &report, const std::string &program_name,
-          const Ddg &ddg, const CompiledLoop &loop,
-          const MachineConfig &machine)
-{
-    SimResult sim = simulate(ddg, machine, loop);
-    ++report.loopsChecked;
-    if (sim.replayed)
-        ++report.loopsReplayed;
-    if (!sim.simOk) {
-        mismatch(report, program_name, loop.loopName,
-                 sim.fault ? sim.fault->toString()
-                           : std::string("replay failed"));
-        return;
-    }
-    std::ostringstream oss;
-    if (loop.moduloScheduled && sim.achievedII != loop.ii) {
-        oss << "achieved II " << sim.achievedII
-            << " != scheduled II " << loop.ii;
-        mismatch(report, program_name, loop.loopName, oss.str());
-        return;
-    }
-    if (sim.simCycles != loop.cycles) {
-        oss << "simulated " << sim.simCycles
-            << " cycles != estimated " << loop.cycles;
-        mismatch(report, program_name, loop.loopName, oss.str());
-        return;
-    }
-    if (sim.achievedIpc != loop.ipc) {
-        oss << "achieved IPC " << sim.achievedIpc
-            << " != reported IPC " << loop.ipc;
-        mismatch(report, program_name, loop.loopName, oss.str());
-    }
-}
-
-void
 replayInto(ReplayReport &report, const Program &program,
            const ProgramResult &result, const MachineConfig &machine)
 {
-    // result.loops holds the successes in submission order; walk the
-    // program's DDGs with a cursor so skipped failures stay aligned.
-    std::size_t next = 0;
-    for (const CompiledLoop &loop : result.loops) {
-        while (next < program.loops.size() &&
-               program.loops[next].name() != loop.loopName)
-            ++next;
-        if (next == program.loops.size()) {
-            mismatch(report, program.name, loop.loopName,
-                     "compiled loop not found in the program's DDGs");
-            continue;
+    GPSCHED_ASSERT(result.loopIndex.size() == result.loops.size(),
+                   "ProgramResult without a loop index");
+    for (std::size_t i = 0; i < result.loops.size(); ++i) {
+        const CompiledLoop &loop = result.loops[i];
+        RecordCheck check = checkRecord(
+            program.loops.at(result.loopIndex[i]), machine, loop);
+        ++report.loopsChecked;
+        if (check.sim.replayed)
+            ++report.loopsReplayed;
+        if (!check.ok()) {
+            report.mismatches.push_back(
+                {program.name, loop.loopName,
+                 std::string(toString(check.verdict)) + ": " +
+                     check.detail});
         }
-        replayOne(report, program.name, program.loops[next], loop,
-                  machine);
-        ++next;
     }
 }
 
@@ -103,15 +131,11 @@ ReplayReport
 replaySuite(const std::vector<Program> &suite,
             const SuiteResult &result, const MachineConfig &machine)
 {
+    GPSCHED_ASSERT(result.programs.size() == suite.size(),
+                   "suite result does not match the suite");
     ReplayReport report;
-    for (const ProgramResult &pr : result.programs) {
-        for (const Program &p : suite) {
-            if (p.name == pr.name) {
-                replayInto(report, p, pr, machine);
-                break;
-            }
-        }
-    }
+    for (std::size_t i = 0; i < suite.size(); ++i)
+        replayInto(report, suite[i], result.programs[i], machine);
     return report;
 }
 

@@ -20,7 +20,7 @@ constexpr int kMaxCycleMagnitude = 1 << 20;
 /** Hard cap on the replay timeline length (cycles). */
 constexpr std::int64_t kMaxTimeline = std::int64_t{1} << 22;
 
-/** Flat, source-agnostic image of a complete modulo schedule. */
+/** Flat, by-node image of a recorded modulo schedule. */
 struct Image
 {
     int ii = 0;
@@ -100,28 +100,6 @@ buildImage(const Ddg &ddg, const MachineConfig &machine,
             return malformed(s.node, concat("duplicate spill of node ",
                                             s.node));
         out.spill[s.node] = {true, s.storeCycle, s.loadCycle};
-    }
-    return std::nullopt;
-}
-
-/** Flattens a complete PartialSchedule. */
-std::optional<SimFault>
-buildImage(const Ddg &ddg, const PartialSchedule &ps, Image &out)
-{
-    const int n = ddg.numNodes();
-    out.ii = ps.ii();
-    out.place.resize(n);
-    out.xfers.assign(n, {});
-    out.spill.assign(n, {});
-    for (NodeId v = 0; v < n; ++v) {
-        if (!ps.isScheduled(v)) {
-            return SimFault{SimFaultKind::MalformedSchedule, -1, v,
-                            concat("node ", v, " not scheduled")};
-        }
-        out.place[v] = {ps.clusterOf(v), ps.cycleOf(v)};
-        for (const auto &[dest, t] : ps.transfersOf(v))
-            out.xfers[v].push_back(t);
-        out.spill[v] = ps.spillOf(v);
     }
     return std::nullopt;
 }
@@ -756,16 +734,6 @@ simulate(const Ddg &ddg, const MachineConfig &machine,
     if (auto f = buildImage(ddg, machine, loop, img))
         return faulted(machine, std::move(*f));
     return Replayer(ddg, machine, img, trip).run();
-}
-
-SimResult
-simulate(const Ddg &ddg, const MachineConfig &machine,
-         const PartialSchedule &schedule)
-{
-    Image img;
-    if (auto f = buildImage(ddg, schedule, img))
-        return faulted(machine, std::move(*f));
-    return Replayer(ddg, machine, img, ddg.tripCount()).run();
 }
 
 } // namespace gpsched::sim

@@ -35,9 +35,14 @@
  * the scheduler's bookkeeping (sched/schedule.cc) or with the static
  * validator (sched/validate.cc) — the validator folds one iteration
  * into II kernel slots, the simulator unrolls iterations onto an
- * absolute timeline. Agreement between the two (pinned by
- * tests/test_property.cc and tests/test_sim_mutation.cc) is what
- * makes either verdict trustworthy.
+ * absolute timeline. Agreement between the two (the record contract
+ * sim::checkRecord in sim/replay.hh; pinned by tests/test_property.cc
+ * and tests/test_sim_mutation.cc) is what makes either verdict
+ * trustworthy.
+ *
+ * The one input representation is the CompiledLoop record; a live
+ * PartialSchedule is replayed through recordSchedule
+ * (core/gp_scheduler.hh).
  */
 
 #ifndef GPSCHED_SIM_SIM_HH
@@ -54,7 +59,6 @@
 namespace gpsched
 {
 struct CompiledLoop;
-class PartialSchedule;
 } // namespace gpsched
 
 namespace gpsched::sim
@@ -139,10 +143,6 @@ struct SimResult
  */
 SimResult simulate(const Ddg &ddg, const MachineConfig &machine,
                    const CompiledLoop &loop);
-
-/** Replays a complete PartialSchedule (every node placed). */
-SimResult simulate(const Ddg &ddg, const MachineConfig &machine,
-                   const PartialSchedule &schedule);
 
 } // namespace gpsched::sim
 

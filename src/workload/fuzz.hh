@@ -15,9 +15,9 @@
  *
  *  - a differential harness (runFuzzCase) that compiles one loop
  *    under all three schemes on a machine list and holds every
- *    compiled record to the two-oracle contract: the static
- *    validator (sched/validate.hh) and the cycle-accurate replay
- *    simulator (sim/sim.hh) must agree verdict-for-verdict, and on
+ *    compiled record to the record contract, sim::checkRecord
+ *    (sim/replay.hh): the static validator and the cycle-accurate
+ *    replay simulator must agree verdict-for-verdict, and on
  *    accepted schedules the replayed achievedII/cycles/IPC must
  *    equal the compiler's claims bit-exactly;
  *
@@ -45,6 +45,7 @@
 #include "core/gp_scheduler.hh"
 #include "graph/ddg.hh"
 #include "machine/machine.hh"
+#include "sim/replay.hh"
 
 namespace gpsched::fuzz
 {
@@ -128,14 +129,19 @@ std::vector<FuzzMachine> fuzzMachines(const std::string &machinesDir);
 std::vector<MachineConfig>
 fuzzConfigs(const std::vector<FuzzMachine> &machines);
 
-/** What a differential check found on one (machine, scheme) pair. */
+/** What a differential check found on one (machine, scheme) pair:
+ *  sim::checkRecord's verdict (same values and names), or a compile
+ *  rejection. */
 enum class FuzzVerdict : std::uint8_t
 {
-    Pass,
-    CompileRejected,  ///< CompileError from a generated (valid) loop
-    OracleDisagree,   ///< validator and simulator verdicts differ
-    ScheduleRejected, ///< both oracles reject a compiled schedule
-    MetricMismatch,   ///< replayed II/cycles/IPC != compiler's claim
+    Pass = static_cast<std::uint8_t>(sim::RecordVerdict::Pass),
+    OracleDisagree =
+        static_cast<std::uint8_t>(sim::RecordVerdict::OracleDisagree),
+    ScheduleRejected =
+        static_cast<std::uint8_t>(sim::RecordVerdict::ScheduleRejected),
+    MetricMismatch =
+        static_cast<std::uint8_t>(sim::RecordVerdict::MetricMismatch),
+    CompileRejected, ///< CompileError from a generated (valid) loop
 };
 
 /** Stable printable name ("pass", "oracle-disagree", ...). */
@@ -188,8 +194,8 @@ struct FuzzCaseResult
 
 /**
  * Compiles @p ddg under all three schemes on every machine of
- * @p machines and applies the two-oracle differential contract to
- * each record (with @p corruption injected first, when requested).
+ * @p machines and holds each record to sim::checkRecord (with
+ * @p corruption injected first, when requested).
  * Never throws on a rejected input — a CompileError becomes a
  * CompileRejected failure, because generator output is valid by
  * construction and an import path rejects before reaching here.

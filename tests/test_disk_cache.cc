@@ -4,7 +4,8 @@
  * acceptance-bar warm rerun (>= 90% disk hits, bit-identical
  * schedules), corruption robustness (truncation, bit flips, version
  * bumps — always a miss plus eviction, never a crash or a wrong
- * schedule), the size-budget compaction, and a two-engine
+ * schedule), a wrong but well-formed record (served from disk, caught
+ * by sim::checkRecord), the size-budget compaction, and a two-engine
  * shared-directory stress run whose results must match a serial
  * cache-less compile while never leaving partial records behind.
  */
@@ -28,9 +29,10 @@
 #include "engine/engine.hh"
 #include "engine/loop_key.hh"
 #include "machine/configs.hh"
+#include "sched/validate.hh"
 #include "serialize/record.hh"
+#include "sim/replay.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/specfp.hh"
 
 namespace fs = std::filesystem;
@@ -332,6 +334,42 @@ TEST(DiskCache, GarbageFileIsAMissAndEvicted)
     EXPECT_FALSE(cache.lookup(key, out));
     EXPECT_EQ(cache.stats().corruptEvicted, 1u);
     EXPECT_TRUE(recordFiles(dir).empty()) << "bad record not evicted";
+    fs::remove_all(dir);
+}
+
+// --- a wrong but well-formed record --------------------------------
+
+/**
+ * The disk cache verifies a record's framing, not its schedule: a
+ * well-formed record whose cycle count is off by one is served as a
+ * disk hit like any other. The record contract is what catches it.
+ */
+TEST(DiskCache, WrongButWellFormedRecordIsServedAndFailsCheckRecord)
+{
+    std::string dir = freshCacheDir("wrongrecord");
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    Ddg g = diamondLoop(lat);
+    CompiledLoop wrong = LoopCompiler(m, SchedulerKind::Gp).compile(g);
+    wrong.cycles += 1;
+    {
+        DiskCache cache(dir, 0);
+        cache.store(makeLoopKey(g, m, SchedulerKind::Gp, {}), wrong);
+    }
+
+    EngineOptions options;
+    options.jobs = 1;
+    options.cacheDir = dir;
+    Engine engine(options);
+    CompileResult result =
+        engine.compileOne(EngineJob{&g, &m, SchedulerKind::Gp, {}});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.source, CompileSource::Disk);
+    EXPECT_EQ(result.loop.cycles, wrong.cycles);
+
+    sim::RecordCheck check = sim::checkRecord(g, m, result.loop);
+    EXPECT_EQ(check.verdict, sim::RecordVerdict::MetricMismatch)
+        << sim::toString(check.verdict) << ": " << check.detail;
     fs::remove_all(dir);
 }
 

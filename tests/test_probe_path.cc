@@ -22,8 +22,8 @@
 #include "machine/configs.hh"
 #include "machine/registry.hh"
 #include "sched/schedule.hh"
+#include "sched/validate.hh"
 #include "testing/alloc_counter.hh"
-#include "testing/validate.hh"
 #include "workload/fuzz.hh"
 
 using namespace gpsched;

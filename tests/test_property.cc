@@ -16,9 +16,10 @@
  *
  * The cycle-accurate replay simulator (sim/sim.hh) rides the same
  * sweeps as a second, independent oracle: every schedule is also
- * executed, the two oracles must agree verdict-for-verdict, the
- * replayed II must equal the schedule's II, and on compiled loops
- * the achieved IPC must equal the reported metric exactly.
+ * executed, the two oracles must agree verdict-for-verdict and the
+ * replayed II must equal the schedule's II; every compiled loop is
+ * held to the record contract (sim::checkRecord), which adds
+ * bit-exact cycles and IPC.
  */
 
 #include <gtest/gtest.h>
@@ -34,10 +35,10 @@
 #include "partition/multilevel.hh"
 #include "sched/fom.hh"
 #include "sched/mii.hh"
-#include "sim/sim.hh"
+#include "sched/validate.hh"
+#include "sim/replay.hh"
 #include "support/random.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/loop_shapes.hh"
 
 using namespace gpsched;
@@ -195,7 +196,9 @@ TEST(Property, EveryCompleteScheduleValidates)
                 // Differential oracle: the replay simulator must
                 // reach the same verdict from an independent
                 // recomputation, at the schedule's own II.
-                sim::SimResult s = sim::simulate(g, m, *ps);
+                CompiledLoop record;
+                recordSchedule(g, *ps, record);
+                sim::SimResult s = sim::simulate(g, m, record);
                 EXPECT_EQ(s.simOk, v.valid)
                     << describe(seed, m) << " policy "
                     << static_cast<int>(policy)
@@ -248,27 +251,14 @@ TEST(Property, CompiledLoopsReplayToReportedMetrics)
                   SchedulerKind::Gp}) {
                 CompiledLoop loop =
                     LoopCompiler(m, kind).compile(g);
-                sim::SimResult s = sim::simulate(g, m, loop);
-                ASSERT_TRUE(s.simOk)
+                sim::RecordCheck check = sim::checkRecord(g, m, loop);
+                EXPECT_TRUE(check.ok())
                     << describe(seed, m) << " scheme "
                     << toString(kind) << ": "
-                    << (s.fault ? s.fault->toString() : "");
-                EXPECT_EQ(s.simCycles, loop.cycles)
-                    << describe(seed, m) << " scheme "
-                    << toString(kind);
-                EXPECT_EQ(s.achievedIpc, loop.ipc)
-                    << describe(seed, m) << " scheme "
-                    << toString(kind);
-                if (loop.moduloScheduled) {
-                    EXPECT_EQ(s.achievedII, loop.ii)
-                        << describe(seed, m) << " scheme "
-                        << toString(kind);
-                    auto v = validateSchedule(g, m, loop);
-                    EXPECT_EQ(v.valid, s.simOk)
-                        << describe(seed, m) << " scheme "
-                        << toString(kind) << ": " << v.message;
+                    << sim::toString(check.verdict) << ": "
+                    << check.detail;
+                if (check.sim.replayed)
                     ++replayed;
-                }
             }
         }
     }

@@ -2,9 +2,12 @@
  * @file
  * Unit tests of the cycle-accurate replay simulator (src/sim/):
  * compiled fixture loops replay to exactly the metrics the compiler
- * reported, the PartialSchedule overload agrees with the schedule's
- * own II, list-scheduled loops are cross-checked without a kernel
- * replay, and hand-built broken schedules trip the right SimFault.
+ * reported, a live schedule replays through its recordSchedule
+ * record at the schedule's own II, list-scheduled loops are
+ * cross-checked without a kernel replay, hand-built broken schedules
+ * trip the right SimFault, the record contract (sim::checkRecord)
+ * reaches the right verdict on clean and damaged records, and the
+ * replay gate pairs each record with the DDG it was compiled from.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +15,12 @@
 #include <vector>
 
 #include "core/gp_scheduler.hh"
+#include "core/pipeline.hh"
 #include "machine/configs.hh"
 #include "sched/validate.hh"
-#include "sim/sim.hh"
+#include "sim/replay.hh"
 #include "testing/fixtures.hh"
+#include "workload/fuzz.hh"
 
 using namespace gpsched;
 using namespace gpsched::testing;
@@ -82,14 +87,16 @@ TEST(Sim, CompiledFixturesReplayToReportedMetrics)
     }
 }
 
-TEST(Sim, PartialScheduleReplayAgreesWithScheduleState)
+TEST(Sim, RecordedScheduleReplayAgreesWithScheduleState)
 {
     LatencyTable lat;
     MachineConfig m = fourClusterConfig(64, 2);
     for (const Ddg &g : fixtureLoops(lat)) {
         auto ps = scheduleLoop(g, m);
         ASSERT_TRUE(ps.has_value()) << g.name();
-        sim::SimResult s = sim::simulate(g, m, *ps);
+        CompiledLoop record;
+        recordSchedule(g, *ps, record);
+        sim::SimResult s = sim::simulate(g, m, record);
         ASSERT_TRUE(s.simOk)
             << g.name() << ": "
             << (s.fault ? s.fault->toString() : "");
@@ -214,4 +221,105 @@ TEST(Sim, MalformedScheduleFaults)
     s = sim::simulate(g, m, badIi);
     ASSERT_FALSE(s.simOk);
     EXPECT_EQ(s.fault->kind, sim::SimFaultKind::MalformedSchedule);
+}
+
+// ---------------------------------------------------------------------
+// The record contract: one table of clean and damaged records, each
+// with the verdict sim::checkRecord must reach.
+// ---------------------------------------------------------------------
+
+TEST(Sim, CheckRecordVerdicts)
+{
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(64, 2);
+    Ddg g = recurrenceLoop(lat);
+
+    CompiledLoop modulo = LoopCompiler(m, SchedulerKind::Gp).compile(g);
+    ASSERT_TRUE(modulo.moduloScheduled);
+    LoopCompilerOptions listOnly;
+    listOnly.maxIiHardCap = 0; // no II is tried: the list fallback
+    CompiledLoop list =
+        LoopCompiler(m, SchedulerKind::Gp, listOnly).compile(g);
+    ASSERT_FALSE(list.moduloScheduled);
+
+    auto corrupted = [](CompiledLoop loop,
+                        fuzz::ScheduleCorruption corruption) {
+        fuzz::corruptLoop(loop, corruption);
+        return loop;
+    };
+    CompiledLoop iiBumped = modulo;
+    iiBumped.ii += 1;
+
+    struct Case
+    {
+        const char *what;
+        CompiledLoop loop;
+        sim::RecordVerdict want;
+    };
+    const std::vector<Case> cases = {
+        {"clean modulo", modulo, sim::RecordVerdict::Pass},
+        {"clean list", list, sim::RecordVerdict::Pass},
+        {"cluster out of range",
+         corrupted(modulo, fuzz::ScheduleCorruption::ClusterOutOfRange),
+         sim::RecordVerdict::ScheduleRejected},
+        {"modulo cycles off by one",
+         corrupted(modulo, fuzz::ScheduleCorruption::CyclesOffByOne),
+         sim::RecordVerdict::MetricMismatch},
+        {"list cycles off by one",
+         corrupted(list, fuzz::ScheduleCorruption::CyclesOffByOne),
+         sim::RecordVerdict::MetricMismatch},
+        {"II bumped by one", iiBumped,
+         sim::RecordVerdict::MetricMismatch},
+    };
+    for (const Case &c : cases) {
+        sim::RecordCheck check = sim::checkRecord(g, m, c.loop);
+        EXPECT_EQ(check.verdict, c.want)
+            << c.what << ": got " << sim::toString(check.verdict)
+            << " (" << check.detail << ")";
+        EXPECT_EQ(check.ok(), c.want == sim::RecordVerdict::Pass)
+            << c.what;
+        EXPECT_EQ(check.detail.empty(), check.ok()) << c.what;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Regression: the replay gate used to pair records with DDGs by a
+// by-name cursor, so a loop that failed to compile followed by a good
+// loop of the same name replayed the good record against the failing
+// loop's DDG. Records are now paired by submission index.
+// ---------------------------------------------------------------------
+
+TEST(Replay, PairsEachRecordWithItsDdgBySubmissionIndex)
+{
+    LatencyTable lat;
+    // Flow edge promising latency 1 where FMul needs 4: computeMii
+    // rejects it.
+    Ddg bad("dup");
+    NodeId mul = bad.addNode(Opcode::FMul);
+    NodeId add = bad.addNode(Opcode::FAdd);
+    bad.addEdge(mul, add, 1, 0, DepKind::Flow);
+    bad.setTripCount(10);
+    Ddg good("dup");
+    NodeId prev = good.addNode(Opcode::IAlu);
+    for (int i = 0; i < 4; ++i) {
+        NodeId next = good.addNode(Opcode::IAlu);
+        good.addEdge(prev, next, lat.latency(Opcode::IAlu));
+        prev = next;
+    }
+    good.setTripCount(50);
+    Program prog{"dups", {bad, good}};
+    MachineConfig m = twoClusterConfig(32, 1);
+
+    ProgramResult result = compileProgram(prog, m, SchedulerKind::Gp);
+    ASSERT_EQ(result.failures.size(), 1u);
+    ASSERT_EQ(result.loops.size(), 1u);
+    sim::ReplayReport report = sim::replayProgram(prog, result, m);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(report.loopsChecked, 1);
+
+    std::vector<Program> suite = {prog, prog};
+    SuiteResult suiteResult = compileSuite(suite, m, SchedulerKind::Gp);
+    report = sim::replaySuite(suite, suiteResult, m);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(report.loopsChecked, 2);
 }

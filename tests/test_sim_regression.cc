@@ -7,11 +7,11 @@
  * steer to slow buses frees the fast class for the critical
  * recurrence. The estimator-side numbers were pinned then; this
  * file re-derives them from *simulated* achieved IPC — every loop
- * of both configurations is replayed through the cycle-accurate
- * simulator (sim/sim.hh), which must accept it and reproduce the
- * reported IPC exactly — so the pinned relation rests on an
- * independent oracle, not on the estimator double-counting its own
- * claims.
+ * of both configurations is held to the record contract
+ * (sim::checkRecord: validator and cycle-accurate simulator accept
+ * it, replayed II/cycles/IPC reproduce the record exactly) — so the
+ * pinned relation rests on an independent oracle, not on the
+ * estimator double-counting its own claims.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@
 
 #include "core/pipeline.hh"
 #include "machine/registry.hh"
-#include "sim/sim.hh"
+#include "sim/replay.hh"
 #include "workload/specfp.hh"
 
 using namespace gpsched;
@@ -40,11 +40,10 @@ corpusMachine(const std::string &file)
 
 /**
  * Compiles the suite with GP at @p margin and recomputes the
- * suite-mean IPC from simulated executions: each compiled loop is
- * replayed, must pass, and must reproduce the reported IPC exactly;
- * the per-program aggregation then mirrors compileSuite's
- * (totalOps / totalCycles per program, arithmetic mean across
- * programs) with the simulator's cycle counts.
+ * suite-mean IPC from simulated executions: each compiled loop must
+ * pass checkRecord; the per-program aggregation then mirrors
+ * compileSuite's (totalOps / totalCycles per program, arithmetic
+ * mean across programs) with the simulator's cycle counts.
  */
 double
 simMeanIpc(const std::vector<Program> &suite, const MachineConfig &m,
@@ -58,40 +57,20 @@ simMeanIpc(const std::vector<Program> &suite, const MachineConfig &m,
 
     double mean = 0.0;
     int programs = 0;
-    for (const ProgramResult &pr : result.programs) {
-        const Program *program = nullptr;
-        for (const Program &p : suite) {
-            if (p.name == pr.name)
-                program = &p;
-        }
-        if (program == nullptr) {
-            ADD_FAILURE() << "program " << pr.name << " missing";
-            continue;
-        }
+    for (std::size_t p = 0; p < result.programs.size(); ++p) {
+        const ProgramResult &pr = result.programs[p];
         std::int64_t ops = 0;
         std::int64_t cycles = 0;
-        std::size_t next = 0;
-        for (const CompiledLoop &loop : pr.loops) {
-            while (next < program->loops.size() &&
-                   program->loops[next].name() != loop.loopName)
-                ++next;
-            if (next == program->loops.size()) {
-                ADD_FAILURE() << pr.name << "/" << loop.loopName
-                              << " missing from the program";
-                break;
-            }
-            sim::SimResult s =
-                sim::simulate(program->loops[next], m, loop);
-            EXPECT_TRUE(s.simOk)
+        for (std::size_t i = 0; i < pr.loops.size(); ++i) {
+            const CompiledLoop &loop = pr.loops[i];
+            sim::RecordCheck check = sim::checkRecord(
+                suite[p].loops[pr.loopIndex[i]], m, loop);
+            EXPECT_TRUE(check.ok())
                 << pr.name << "/" << loop.loopName << " on "
-                << m.name() << ": "
-                << (s.fault ? s.fault->toString() : "");
-            EXPECT_EQ(s.achievedIpc, loop.ipc)
-                << pr.name << "/" << loop.loopName << " on "
-                << m.name();
+                << m.name() << ": " << sim::toString(check.verdict)
+                << ": " << check.detail;
             ops += loop.ops;
-            cycles += s.simCycles;
-            ++next;
+            cycles += check.sim.simCycles;
         }
         if (cycles > 0) {
             mean += static_cast<double>(ops) /

@@ -26,11 +26,14 @@
  *                       rejected loop becomes an error object in the
  *                       report instead of aborting the run; exit
  *                       status is nonzero iff any loop failed
- *     --simulate        replay every compiled loop through the
- *                       cycle-accurate simulator (src/sim/) and add
- *                       replayed/simOk/achievedII/achievedIpc to each
- *                       loop row (simFault on a rejected replay);
- *                       exit status is nonzero iff a replay fails
+ *     --simulate        hold every compiled loop to the record
+ *                       contract (sim::checkRecord: validator and
+ *                       replay simulator agree, II/cycles/IPC match
+ *                       bit-exactly) and add replayed/simOk/
+ *                       achievedII/achievedIpc to each loop row
+ *                       (simFault on a rejected replay, recordCheck
+ *                       on any failed check); exit status is nonzero
+ *                       iff a check fails
  *     --json PATH       report path; '-' = stdout (default '-')
  *     --stats-json PATH unified metric-registry dump (engine/cache/
  *                       disk/pool/phase counters; see
@@ -57,7 +60,7 @@
 #include "graph/textio.hh"
 #include "machine/configs.hh"
 #include "machine/registry.hh"
-#include "sim/sim.hh"
+#include "sim/replay.hh"
 #include "support/compile_error.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -107,10 +110,10 @@ usage(const char *argv0, int status)
        << "  --keep-going     report per-loop failures as JSON error\n"
        << "                   objects instead of aborting; exit 1\n"
        << "                   iff any loop failed\n"
-       << "  --simulate       replay compiled loops through the\n"
-       << "                   cycle-accurate simulator; adds simOk/\n"
-       << "                   achievedII/achievedIpc per loop, exit 1\n"
-       << "                   iff a replay fails\n"
+       << "  --simulate       check compiled loops with both oracles\n"
+       << "                   (validator + cycle-accurate replay);\n"
+       << "                   adds simOk/achievedII/achievedIpc per\n"
+       << "                   loop, exit 1 iff a record check fails\n"
        << "  --json PATH      JSON report path, '-' = stdout\n"
        << "  --stats-json PATH  write the unified metric registry\n"
        << "                   (engine/disk/pool/phase) as JSON\n"
@@ -355,10 +358,9 @@ writeReport(std::ostream &os, const CliOptions &options,
             const std::vector<SchedulerKind> &schemes,
             const std::vector<InputLoop> &inputs,
             const std::vector<CompileResult> &results,
-            const std::vector<std::optional<sim::SimResult>> &sims,
+            const std::vector<std::optional<sim::RecordCheck>> &checks,
             const Engine &engine)
 {
-    EngineStats stats = engine.stats();
     JsonWriter json(os);
     json.beginObject();
     json.member("schemaVersion", 1);
@@ -439,10 +441,12 @@ writeReport(std::ostream &os, const CliOptions &options,
             json.member("partitionRuns", loop.partitionRuns);
             json.member("scheduleAttempts", loop.scheduleAttempts);
             json.member("schedSeconds", loop.schedSeconds);
-            // --simulate: the replay verdict rides on the row. next
-            // was already advanced past this result.
-            if (sims[next - 1].has_value()) {
-                const sim::SimResult &s = *sims[next - 1];
+            // --simulate: the replay and the record-contract verdict
+            // ride on the row. next was already advanced past this
+            // result.
+            if (checks[next - 1].has_value()) {
+                const sim::RecordCheck &check = *checks[next - 1];
+                const sim::SimResult &s = check.sim;
                 json.member("replayed", s.replayed);
                 json.member("simOk", s.simOk);
                 json.member("achievedII", s.achievedII);
@@ -458,33 +462,22 @@ writeReport(std::ostream &os, const CliOptions &options,
                     json.member("detail", s.fault->detail);
                     json.endObject();
                 }
+                if (!check.ok()) {
+                    json.beginObject("recordCheck");
+                    json.member("verdict", sim::toString(check.verdict));
+                    json.member("detail", check.detail);
+                    json.endObject();
+                }
             }
             json.endObject();
         }
     }
     json.endArray();
     json.beginObject("engine");
-    json.member("jobs", engine.jobs());
+    engine.writeStatsJson(json);
     json.member("repeat", options.repeat);
     json.member("keepGoing", options.keepGoing);
     json.member("simulate", options.simulate);
-    json.member("jobsSubmitted", stats.jobsSubmitted);
-    json.member("cacheHits", stats.cacheHits);
-    json.member("cacheMisses", stats.cacheMisses);
-    json.member("coalesced", stats.coalesced);
-    json.member("failed", stats.failed);
-    json.member("hitRate", stats.hitRate());
-    json.member("cacheDir", options.cacheDir);
-    json.member("diskHits", stats.diskHits);
-    json.member("diskMisses", stats.diskMisses);
-    json.member("diskStores", stats.diskStores);
-    json.member("corruptEvicted", stats.corruptEvicted);
-    json.member("diskHitRate", stats.diskHitRate());
-    // Additive: phase breakdown only when the engine collected one,
-    // so pre-telemetry consumers of this block are unaffected.
-    CompileTrace phases = engine.phaseTotals();
-    if (!phases.empty())
-        writeCompileTracePhases(json, "phases", phases);
     json.endObject();
     json.endObject();
 }
@@ -533,24 +526,25 @@ run(int argc, char **argv)
     for (int r = 0; r < options.repeat; ++r)
         results = engine.compileBatch(batch);
 
-    // --simulate: replay every successfully compiled loop; the
-    // verdicts ride on the report rows (parallel to results, error
-    // rows keep their error object untouched).
-    std::vector<std::optional<sim::SimResult>> sims(results.size());
+    // --simulate: hold every successfully compiled loop to the
+    // record contract; the verdicts ride on the report rows
+    // (parallel to results, error rows keep their error object
+    // untouched).
+    std::vector<std::optional<sim::RecordCheck>> checks(
+        results.size());
     bool simFailed = false;
     if (options.simulate) {
         for (std::size_t i = 0; i < results.size(); ++i) {
             if (!results[i].ok())
                 continue;
-            sims[i] = sim::simulate(*batch[i].loop, machine,
-                                    results[i].loop);
-            if (!sims[i]->simOk) {
+            checks[i] = sim::checkRecord(*batch[i].loop, machine,
+                                         results[i].loop);
+            if (!checks[i]->ok()) {
                 simFailed = true;
-                GPSCHED_WARN("replay of loop '",
+                GPSCHED_WARN("record check of loop '",
                              results[i].loop.loopName, "' failed: ",
-                             sims[i]->fault
-                                 ? sims[i]->fault->toString()
-                                 : std::string("unknown fault"));
+                             sim::toString(checks[i]->verdict), ": ",
+                             checks[i]->detail);
             }
         }
     }
@@ -570,14 +564,14 @@ run(int argc, char **argv)
 
     if (options.jsonPath == "-") {
         writeReport(std::cout, options, machine, schemes, inputs,
-                    results, sims, engine);
+                    results, checks, engine);
     } else {
         std::ofstream out(options.jsonPath);
         if (!out)
             GPSCHED_FATAL("cannot open JSON report path '",
                           options.jsonPath, "'");
         writeReport(out, options, machine, schemes, inputs, results,
-                    sims, engine);
+                    checks, engine);
     }
 
     if (!options.statsJsonPath.empty()) {
