@@ -101,18 +101,14 @@ sweep(Engine &engine, const std::vector<Program> &suite,
 int
 main(int argc, char **argv)
 {
+    BenchOptions options;
     bool gate_policy = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--gate-policy")
-            gate_policy = true;
-        else
-            args.push_back(argv[i]);
-    }
-    BenchOptions options =
-        parseBenchArgs(static_cast<int>(args.size()), args.data());
+    benchFlags(argv[0], options)
+        .flag("--gate-policy", &gate_policy,
+              "exit 1 unless slack-aware GP wins its acceptance gate")
+        .parse(argc, argv);
     LatencyTable lat;
-    auto suite = benchSuiteWithFuzz(lat, options);
+    auto suite = benchSuite(lat, options);
     Engine engine(options.engineOptions());
 
     std::vector<MachineConfig> machines =

@@ -1,8 +1,6 @@
 #include "common.hh"
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -14,7 +12,6 @@
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
-#include "workload/fuzz.hh"
 #include "workload/specfp.hh"
 
 namespace gpsched::bench
@@ -33,114 +30,31 @@ BenchOptions::engineOptions() const
     return options;
 }
 
-namespace
+FlagTable
+benchFlags(const char *argv0, BenchOptions &options)
 {
-
-/** Strict non-negative integer parse; exits 2 on any other text. */
-int
-parseCount(const char *argv0, const std::string &flag,
-           const std::string &text)
-{
-    char *end = nullptr;
-    errno = 0;
-    long value = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' ||
-        value < 0 || value > 1 << 20) {
-        std::cerr << argv0 << ": " << flag
-                  << " needs a non-negative integer, got '" << text
-                  << "'\n";
-        std::exit(2);
-    }
-    return static_cast<int>(value);
+    FlagTable flags(argv0);
+    flags.flag("--smoke", &options.smoke,
+               "tiny workload (CTest); its numbers mean nothing")
+        .jobs(&options.jobs)
+        .text("--json", &options.jsonPath, "PATH",
+              "machine-readable report, '-' = stdout")
+        .list("--machines", &options.machines, "LIST",
+              "registry names or .machine paths replacing the "
+              "default sweep")
+        .text("--cache-dir", &options.cacheDir, "PATH",
+              "persistent compile cache directory")
+        .flag("--replay", &options.replay,
+              "re-execute every compiled loop on the replay "
+              "simulator; die on any mismatch");
+    return flags;
 }
-
-} // namespace
 
 BenchOptions
 parseBenchArgs(int argc, char **argv)
 {
     BenchOptions options;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--smoke") {
-            options.smoke = true;
-        } else if (arg == "--jobs") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --jobs needs a count\n";
-                std::exit(2);
-            }
-            options.jobs = parseCount(argv[0], "--jobs", argv[++i]);
-        } else if (arg == "--json") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --json needs a path\n";
-                std::exit(2);
-            }
-            options.jsonPath = argv[++i];
-        } else if (arg == "--machines") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0]
-                          << ": --machines needs a comma-separated "
-                             "list of names or .machine paths\n";
-                std::exit(2);
-            }
-            std::string list = argv[++i];
-            std::string entry;
-            for (char ch : list) {
-                if (ch == ',') {
-                    if (!entry.empty())
-                        options.machines.push_back(entry);
-                    entry.clear();
-                } else {
-                    entry += ch;
-                }
-            }
-            if (!entry.empty())
-                options.machines.push_back(entry);
-            if (options.machines.empty()) {
-                std::cerr << argv[0] << ": --machines got an empty "
-                                        "list\n";
-                std::exit(2);
-            }
-        } else if (arg == "--cache-dir") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0]
-                          << ": --cache-dir needs a path\n";
-                std::exit(2);
-            }
-            options.cacheDir = argv[++i];
-        } else if (arg == "--replay") {
-            options.replay = true;
-        } else if (arg == "--fuzz") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --fuzz needs a count\n";
-                std::exit(2);
-            }
-            options.fuzzLoops =
-                parseCount(argv[0], "--fuzz", argv[++i]);
-        } else if (arg == "--fuzz-seed") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --fuzz-seed needs a "
-                                        "seed\n";
-                std::exit(2);
-            }
-            std::string text = argv[++i];
-            char *end = nullptr;
-            errno = 0;
-            options.fuzzSeed = std::strtoull(text.c_str(), &end, 0);
-            if (errno != 0 || end == text.c_str() || *end != '\0') {
-                std::cerr << argv[0]
-                          << ": --fuzz-seed needs an integer, got '"
-                          << text << "'\n";
-                std::exit(2);
-            }
-        } else {
-            std::cerr << argv[0] << ": unknown argument '" << arg
-                      << "' (--smoke, --jobs N, --json PATH, "
-                         "--machines LIST, --cache-dir PATH, "
-                         "--replay, --fuzz N, --fuzz-seed S)\n";
-            std::exit(2);
-        }
-    }
+    benchFlags(argv[0], options).parse(argc, argv);
     return options;
 }
 
@@ -191,26 +105,6 @@ benchSuite(const LatencyTable &lat, const BenchOptions &options)
         if (prog.loops.size() > maxLoops)
             prog.loops.resize(maxLoops);
     }
-    return suite;
-}
-
-std::vector<Program>
-benchSuiteWithFuzz(const LatencyTable &lat,
-                   const BenchOptions &options)
-{
-    std::vector<Program> suite = benchSuite(lat, options);
-    if (options.fuzzLoops <= 0)
-        return suite;
-    // Smoke mode shrinks the rider like it shrinks the suite.
-    int count = options.smoke ? std::min(options.fuzzLoops, 2)
-                              : options.fuzzLoops;
-    Program prog;
-    prog.name = "fuzz";
-    prog.loops.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        prog.loops.push_back(
-            fuzz::corpusCase(options.fuzzSeed, i, lat).ddg);
-    suite.push_back(std::move(prog));
     return suite;
 }
 

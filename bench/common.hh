@@ -4,16 +4,17 @@
  * the synthetic SPECfp95 suite under every scheme on one machine and
  * print per-program IPC rows the way Figures 2/3 report them.
  *
- * Every driver accepts --smoke (tiny workload for CTest), --jobs N
- * (worker threads of the batch engine; 0 = hardware concurrency),
- * --json PATH (machine-readable report; "-" for stdout),
- * --machines LIST (comma-separated registry names or .machine file
- * paths replacing the driver's default machine sweep, so every
- * figure and ablation runs on arbitrary configurations) and
+ * Every driver accepts the benchFlags table: --smoke (tiny workload
+ * for CTest), --jobs N (worker threads of the batch engine; 0 =
+ * hardware concurrency), --json PATH (machine-readable report; "-"
+ * for stdout), --machines LIST (comma-separated registry names or
+ * .machine file paths replacing the driver's default machine sweep,
+ * so every figure and ablation runs on arbitrary configurations),
  * --cache-dir PATH (the persistent compile cache, so repeated bench
  * runs are served from disk; cold/warm disk stats land in the JSON
- * report). Panels run through one shared Engine so the fingerprint
- * cache dedupes identical loop shapes across panels and schemes.
+ * report) and --replay. Panels run through one shared Engine so the
+ * fingerprint cache dedupes identical loop shapes across panels and
+ * schemes.
  */
 
 #ifndef GPSCHED_BENCH_COMMON_HH
@@ -27,6 +28,7 @@
 #include "core/pipeline.hh"
 #include "engine/engine.hh"
 #include "machine/machine.hh"
+#include "support/flags.hh"
 
 namespace gpsched::bench
 {
@@ -73,19 +75,6 @@ struct BenchOptions
      */
     bool replay = false;
 
-    /**
-     * Fuzz-corpus rider (--fuzz N): append one extra "fuzz" program
-     * of N generated loops (workload/fuzz.hh, seeded by --fuzz-seed)
-     * to the suite. Off by default so the published figures and the
-     * nightly bench_delta gates keep their hand-built workload; with
-     * --replay this turns any figure driver into a corpus sweep
-     * whose every compiled loop is backed by a simulated execution.
-     */
-    int fuzzLoops = 0;
-
-    /** Corpus seed for --fuzz (--fuzz-seed S, decimal or 0x-hex). */
-    std::uint64_t fuzzSeed = 0xf022c0de5eedULL;
-
     /** Iteration counts for repeated-measurement benches. */
     int
     reps(int full) const
@@ -98,9 +87,13 @@ struct BenchOptions
 };
 
 /**
- * Parses argv; recognizes --smoke/--jobs/--json/--machines/
- * --cache-dir/--replay; exits with status 2 on anything else.
+ * The shared bench flags (--smoke/--jobs/--json/--machines/
+ * --cache-dir/--replay) writing into @p options; a driver with flags
+ * of its own adds them to this table before parsing.
  */
+FlagTable benchFlags(const char *argv0, BenchOptions &options);
+
+/** Parses argv against benchFlags alone (support/flags.hh rules). */
 BenchOptions parseBenchArgs(int argc, char **argv);
 
 /**
@@ -141,16 +134,6 @@ void withJsonStream(const BenchOptions &options,
  */
 std::vector<Program> benchSuite(const LatencyTable &lat,
                                 const BenchOptions &options);
-
-/**
- * benchSuite plus the --fuzz rider: when options.fuzzLoops > 0, one
- * extra "fuzz" program of generated corpus loops (workload/fuzz.hh)
- * joins the suite, so a figure driver can be pointed at workloads
- * nobody hand-tuned for. A no-op (the plain suite) by default.
- */
-std::vector<Program>
-benchSuiteWithFuzz(const LatencyTable &lat,
-                   const BenchOptions &options);
 
 /** Per-program IPC of the four evaluated bars. */
 struct FigureRow

@@ -14,7 +14,6 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
 #include "sched/mrt.hh"
 
@@ -139,42 +138,4 @@ BENCHMARK(BM_MrtProbeCopy)
     ->Args({16, 4})
     ->Args({64, 4});
 
-/**
- * Custom entry point mirroring micro_partition: --smoke maps to a
- * tiny --benchmark_min_time for the CTest registration, and --json
- * maps to google-benchmark's JSON reporter so callers can scrape the
- * numbers the same way they scrape the paper-figure drivers.
- */
-int
-main(int argc, char **argv)
-{
-    std::vector<char *> args;
-    bool smoke = false;
-    bool json = false;
-    for (int i = 0; i < argc; ++i) {
-        std::string a(argv[i]);
-        if (a == "--smoke")
-            smoke = true;
-        else if (a == "--json")
-            json = true;
-        else
-            args.push_back(argv[i]);
-    }
-#ifdef GPSCHED_BENCHMARK_MIN_TIME_SUFFIX
-    static char minTime[] = "--benchmark_min_time=1x";
-#else
-    static char minTime[] = "--benchmark_min_time=0.001";
-#endif
-    static char jsonFmt[] = "--benchmark_format=json";
-    if (smoke)
-        args.push_back(minTime);
-    if (json)
-        args.push_back(jsonFmt);
-    int count = static_cast<int>(args.size());
-    benchmark::Initialize(&count, args.data());
-    if (benchmark::ReportUnrecognizedArguments(count, args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
 #include "graph/ddg_analysis.hh"
 #include "machine/configs.hh"
@@ -169,34 +168,4 @@ BM_ModuloScheduleUracam(benchmark::State &state)
 }
 BENCHMARK(BM_ModuloScheduleUracam)->Arg(4)->Arg(8)->Arg(16);
 
-/**
- * Custom entry point so the CTest smoke registration can pass the
- * same --smoke flag every other bench accepts: it is translated to a
- * tiny --benchmark_min_time before handing off to google-benchmark.
- */
-int
-main(int argc, char **argv)
-{
-    std::vector<char *> args;
-    bool smoke = false;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--smoke")
-            smoke = true;
-        else
-            args.push_back(argv[i]);
-    }
-#ifdef GPSCHED_BENCHMARK_MIN_TIME_SUFFIX
-    static char minTime[] = "--benchmark_min_time=1x";
-#else
-    static char minTime[] = "--benchmark_min_time=0.001";
-#endif
-    if (smoke)
-        args.push_back(minTime);
-    int count = static_cast<int>(args.size());
-    benchmark::Initialize(&count, args.data());
-    if (benchmark::ReportUnrecognizedArguments(count, args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

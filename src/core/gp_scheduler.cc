@@ -28,6 +28,24 @@ toString(SchedulerKind kind)
     GPSCHED_PANIC("unknown scheduler kind");
 }
 
+std::vector<std::pair<std::string, SchedulerKind>>
+schemeChoices()
+{
+    return {{"uracam", SchedulerKind::Uracam},
+            {"fixed", SchedulerKind::FixedPartition},
+            {"gp", SchedulerKind::Gp}};
+}
+
+std::string
+schemeName(SchedulerKind kind)
+{
+    for (const auto &[name, value] : schemeChoices()) {
+        if (value == kind)
+            return name;
+    }
+    GPSCHED_PANIC("unknown scheduler kind");
+}
+
 namespace
 {
 

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/ddg.hh"
@@ -51,6 +52,13 @@ enum class SchedulerKind
 
 /** Printable name ("URACAM", "Fixed", "GP"). */
 std::string toString(SchedulerKind kind);
+
+/** Every scheme by its command-line name ("uracam", "fixed", "gp"),
+ *  in the order front ends run them. */
+std::vector<std::pair<std::string, SchedulerKind>> schemeChoices();
+
+/** The command-line name of @p kind. */
+std::string schemeName(SchedulerKind kind);
 
 /**
  * When the GP driver recomputes the partition after a failed

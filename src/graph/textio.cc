@@ -1,9 +1,9 @@
 #include "graph/textio.hh"
 
+#include <fstream>
 #include <sstream>
 #include <string>
 
-#include "support/compile_error.hh"
 #include "support/logging.hh"
 
 namespace gpsched
@@ -120,6 +120,66 @@ readDdgText(std::istream &is)
     }
     fail("unexpected end of input while reading ddg");
     GPSCHED_PANIC("unreachable"); // fail() always throws
+}
+
+namespace
+{
+
+/**
+ * Seeks @p is to the next line whose first word (comments stripped)
+ * satisfies @p stop; false if the stream ends first.
+ */
+bool
+seekLine(std::istream &is, bool (*stop)(const std::string &word))
+{
+    std::string line, word;
+    for (std::streampos before = is.tellg(); std::getline(is, line);
+         before = is.tellg()) {
+        std::istringstream ls(line.substr(0, line.find('#')));
+        if ((ls >> word) && stop(word)) {
+            is.seekg(before);
+            return true;
+        }
+    }
+    return false;
+}
+
+} // namespace
+
+std::vector<DdgBlock>
+readDdgBlocks(std::istream &is, const std::string &source,
+              bool keepGoing)
+{
+    std::vector<DdgBlock> blocks;
+    while (seekLine(is, [](const std::string &) { return true; })) {
+        DdgBlock &block = blocks.emplace_back();
+        block.source = source;
+        try {
+            block.ddg = readDdgText(is);
+        } catch (const CompileError &error) {
+            if (!keepGoing)
+                throw;
+            GPSCHED_WARN("skipping malformed DDG block in '", source,
+                         "': ", error.what());
+            block.parseError = error;
+            is.clear();
+            seekLine(is, [](const std::string &word) {
+                return word == "ddg";
+            });
+        }
+    }
+    if (blocks.empty())
+        GPSCHED_FATAL("no DDGs found in '", source, "'");
+    return blocks;
+}
+
+std::vector<DdgBlock>
+readDdgFile(const std::string &path, bool keepGoing)
+{
+    std::ifstream in(path);
+    if (!in)
+        GPSCHED_FATAL("cannot open DDG file '", path, "'");
+    return readDdgBlocks(in, path, keepGoing);
 }
 
 } // namespace gpsched

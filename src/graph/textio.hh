@@ -9,16 +9,21 @@
  *   node <opcode> [label]
  *   edge <src> <dst> <latency> <distance> [flow|order]
  *   end
- * '#' starts a comment; blank lines are ignored.
+ * '#' starts a comment; blank lines are ignored. A file may hold
+ * several blocks (readDdgFile).
  */
 
 #ifndef GPSCHED_GRAPH_TEXTIO_HH
 #define GPSCHED_GRAPH_TEXTIO_HH
 
 #include <istream>
+#include <optional>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "graph/ddg.hh"
+#include "support/compile_error.hh"
 
 namespace gpsched
 {
@@ -33,6 +38,32 @@ void writeDdgText(std::ostream &os, const Ddg &ddg);
  * header line has been seen.
  */
 Ddg readDdgText(std::istream &is);
+
+/** One block of a multi-DDG stream: its source, and the loop or
+ *  (keepGoing) the block's parse diagnostic. */
+struct DdgBlock
+{
+    std::string source;
+    Ddg ddg;
+    std::optional<CompileError> parseError;
+
+    bool parsed() const { return !parseError.has_value(); }
+};
+
+/**
+ * Reads every `ddg ... end` block of @p is, skipping blank and
+ * comment lines between blocks. A malformed block throws its
+ * CompileError, or with @p keepGoing is recorded (with a warning)
+ * and reading resumes at the next `ddg` line. Fatal when the stream
+ * holds no block; @p source names it in diagnostics.
+ */
+std::vector<DdgBlock> readDdgBlocks(std::istream &is,
+                                    const std::string &source,
+                                    bool keepGoing);
+
+/** readDdgBlocks over the file at @p path; fatal if unreadable. */
+std::vector<DdgBlock> readDdgFile(const std::string &path,
+                                  bool keepGoing);
 
 } // namespace gpsched
 

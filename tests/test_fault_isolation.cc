@@ -177,28 +177,27 @@ TEST(FaultIsolation, HundredLoopBatchSurvivesItsBadLoops)
 }
 
 /**
- * The parse stage is the other failure source of a real batch: a
- * front-end reads blocks with readDdgText, records Parse-kind
- * CompileErrors for the malformed ones (as gpsched_cli --keep-going
- * does), and hands only the parsed loops to the engine.
+ * The parse stage is the other failure source of a real batch: the
+ * multi-DDG reader in keep-going mode (what gpsched_cli --keep-going
+ * runs) records Parse-kind CompileErrors for the malformed blocks,
+ * resumes at the next block, and only the parsed loops reach the
+ * engine.
  */
 TEST(FaultIsolation, ParseStageFailuresAreRecoverableTyped)
 {
-    const char *blocks[] = {
-        "ddg good_a 10\nnode ialu x\nend\n",
-        "ddg broken_b 10\nnode ialu x\nedge 0 7 1 0\nend\n",
-        "ddg good_c 10\nnode fadd y\nend\n",
-        "ddg broken_d 10\nnode frobnicate z\nend\n",
-    };
+    std::istringstream stream(
+        "ddg good_a 10\nnode ialu x\nend\n"
+        "ddg broken_b 10\nnode ialu x\nedge 0 7 1 0\nend\n"
+        "ddg good_c 10\nnode fadd y\nend\n"
+        "ddg broken_d 10\nnode frobnicate z\nend\n");
     std::vector<Ddg> parsed;
     std::vector<CompileError> rejected;
-    for (const char *text : blocks) {
-        std::istringstream iss(text);
-        try {
-            parsed.push_back(readDdgText(iss));
-        } catch (const CompileError &error) {
-            EXPECT_EQ(error.kind(), CompileErrorKind::Parse);
-            rejected.push_back(error);
+    for (DdgBlock &block : readDdgBlocks(stream, "four blocks", true)) {
+        if (block.parsed()) {
+            parsed.push_back(std::move(block.ddg));
+        } else {
+            EXPECT_EQ(block.parseError->kind(), CompileErrorKind::Parse);
+            rejected.push_back(*block.parseError);
         }
     }
     ASSERT_EQ(parsed.size(), 2u);

@@ -85,19 +85,11 @@ TEST(Fuzz, WriteCorpusRoundTripsThroughTextio)
     writeCorpus(corpus, kSeed, 6, lat);
 
     int loops = 0;
-    while (corpus >> std::ws, corpus.peek() != EOF) {
-        // Skip comment lines between blocks; readDdgText handles
-        // comments itself, this just detects end-of-stream cleanly.
-        if (corpus.peek() == '#') {
-            std::string line;
-            std::getline(corpus, line);
-            continue;
-        }
-        Ddg ddg = readDdgText(corpus);
+    for (const DdgBlock &block : readDdgBlocks(corpus, "corpus", false)) {
         FuzzCase expected = corpusCase(kSeed, loops, lat);
-        EXPECT_EQ(ddg.numNodes(), expected.ddg.numNodes());
-        EXPECT_EQ(ddg.numEdges(), expected.ddg.numEdges());
-        EXPECT_EQ(ddg.tripCount(), expected.ddg.tripCount());
+        EXPECT_EQ(block.ddg.numNodes(), expected.ddg.numNodes());
+        EXPECT_EQ(block.ddg.numEdges(), expected.ddg.numEdges());
+        EXPECT_EQ(block.ddg.tripCount(), expected.ddg.tripCount());
         ++loops;
     }
     EXPECT_EQ(loops, 6);

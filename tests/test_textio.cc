@@ -11,11 +11,13 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "graph/ddg.hh"
 #include "graph/ddg_builder.hh"
 #include "graph/dot.hh"
 #include "graph/textio.hh"
+#include "support/compile_error.hh"
 #include "support/random.hh"
 #include "workload/loop_shapes.hh"
 
@@ -131,6 +133,25 @@ TEST(TextIoGolden, ReaderToleratesCommentsAndBlankLines)
     EXPECT_EQ(g.edge(0).kind, DepKind::Order);
     // Round-tripping the hand-written form is also a fixed point.
     EXPECT_EQ(toText(g), toText(fromText(toText(g))));
+}
+
+TEST(TextIoBlocks, StrictReadThrowsAndAnEmptyStreamIsFatal)
+{
+    std::istringstream bad("ddg ok 4\nnode ialu a\nend\n"
+                           "ddg bad 4\nnode nope b\nend\n");
+    EXPECT_THROW(readDdgBlocks(bad, "bad", false), CompileError);
+
+    std::istringstream trailing("ddg ok 4\nnode ialu a\nend\n"
+                                "# trailing comment\n\n");
+    std::vector<DdgBlock> blocks =
+        readDdgBlocks(trailing, "trailing", false);
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0].source, "trailing");
+
+    std::istringstream empty("# only a comment\n\n");
+    EXPECT_EXIT(readDdgBlocks(empty, "empty.ddg", true),
+                testing::ExitedWithCode(1),
+                "no DDGs found in 'empty.ddg'");
 }
 
 TEST(DotGolden, NamesEveryNodeAndEdge)

@@ -24,14 +24,14 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/thread_pool.hh"
 #include "graph/textio.hh"
 #include "machine/registry.hh"
-#include "support/compile_error.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "workload/fuzz.hh"
 
@@ -45,141 +45,110 @@ namespace
 using namespace gpsched;
 using namespace gpsched::fuzz;
 
-void
-usage(const char *argv0)
-{
-    std::cerr
-        << "usage: " << argv0 << " <command> [options]\n"
-        << "commands:\n"
-        << "  gen    --seed S --count N [--out PATH]\n"
-        << "         emit the corpus as multi-DDG text ('-' = stdout)\n"
-        << "  sweep  [--seed S] [--count N | --smoke] [--jobs J]\n"
-        << "         [--machines DIR] [--failures DIR] [--out PATH]\n"
-        << "         [--corrupt none|cluster|cycles]\n"
-        << "         compile the corpus across all schemes and the\n"
-        << "         machine list, check both oracles + exact metrics\n"
-        << "         on every record, minimize and record failures;\n"
-        << "         exit 1 iff any case failed\n"
-        << "  repro  --ddg FILE --machine SPEC --scheme SCHEME\n"
-        << "         [--corrupt C] [--expect VERDICT]\n"
-        << "         re-run one reproducer; exit 0 iff it still fails\n"
-        << "defaults: --count " << "$GPSCHED_FUZZ_LOOPS or 100"
-        << ", --smoke = 50 loops,\n"
-        << "          --machines " << GPSCHED_FUZZ_MACHINES_DIR << "\n";
-    std::exit(2);
-}
-
-const char *gArgv0 = "ddg_fuzz";
-
-std::string
-needValue(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::cerr << gArgv0 << ": option " << argv[i]
-                  << " needs a value\n";
-        usage(gArgv0);
-    }
-    return argv[++i];
-}
-
-std::uint64_t
-parseU64(const std::string &text, const char *what)
-{
-    try {
-        std::size_t end = 0;
-        std::uint64_t v = std::stoull(text, &end, 0);
-        if (end == text.size())
-            return v;
-    } catch (const std::exception &) {
-    }
-    GPSCHED_FATAL("bad ", what, " '", text, "'");
-}
-
-int
-parseCount(const std::string &text, const char *what)
-{
-    auto v = parseU64(text, what);
-    if (v < 1 || v > (1u << 30))
-        GPSCHED_FATAL(what, " out of range: ", v);
-    return static_cast<int>(v);
-}
-
-/** GPSCHED_FUZZ_LOOPS env override, else @p fallback. */
-int
-envLoops(int fallback)
-{
-    const char *env = std::getenv("GPSCHED_FUZZ_LOOPS");
-    if (!env || !*env)
-        return fallback;
-    return parseCount(env, "GPSCHED_FUZZ_LOOPS");
-}
-
-SchedulerKind
-parseScheme(const std::string &text)
-{
-    if (text == "uracam")
-        return SchedulerKind::Uracam;
-    if (text == "fixed")
-        return SchedulerKind::FixedPartition;
-    if (text == "gp")
-        return SchedulerKind::Gp;
-    GPSCHED_FATAL("bad scheme '", text, "' (want uracam|fixed|gp)");
-}
-
-const char *
-schemeFlag(SchedulerKind kind)
-{
-    switch (kind) {
-      case SchedulerKind::Uracam:
-        return "uracam";
-      case SchedulerKind::FixedPartition:
-        return "fixed";
-      case SchedulerKind::Gp:
-        return "gp";
-      default:
-        GPSCHED_PANIC("bad SchedulerKind");
-    }
-}
-
-ScheduleCorruption
-parseCorrupt(const std::string &text)
-{
-    if (text == "none")
-        return ScheduleCorruption::None;
-    if (text == "cluster")
-        return ScheduleCorruption::ClusterOutOfRange;
-    if (text == "cycles")
-        return ScheduleCorruption::CyclesOffByOne;
-    GPSCHED_FATAL("bad corruption '", text,
-                  "' (want none|cluster|cycles)");
-}
+/** The --corrupt names. */
+const std::vector<std::pair<std::string, ScheduleCorruption>>
+    kCorruptions = {
+        {"none", ScheduleCorruption::None},
+        {"cluster", ScheduleCorruption::ClusterOutOfRange},
+        {"cycles", ScheduleCorruption::CyclesOffByOne},
+};
 
 const char *
 corruptFlag(ScheduleCorruption corruption)
 {
-    switch (corruption) {
-      case ScheduleCorruption::None:
-        return "none";
-      case ScheduleCorruption::ClusterOutOfRange:
-        return "cluster";
-      case ScheduleCorruption::CyclesOffByOne:
-        return "cycles";
-      default:
-        GPSCHED_PANIC("bad ScheduleCorruption");
+    for (const auto &[name, value] : kCorruptions) {
+        if (value == corruption)
+            return name.c_str();
     }
+    GPSCHED_PANIC("bad ScheduleCorruption");
 }
 
-FuzzVerdict
-parseVerdict(const std::string &text)
+/** Every subcommand's flags; each command reads its own. */
+struct FuzzOptions
 {
-    for (FuzzVerdict v :
-         {FuzzVerdict::Pass, FuzzVerdict::CompileRejected,
-          FuzzVerdict::OracleDisagree, FuzzVerdict::ScheduleRejected,
-          FuzzVerdict::MetricMismatch}) {
-        if (text == toString(v))
-            return v;
+    std::uint64_t seed = 0xf022c0de5eedULL;
+    int count = 100;
+    bool smoke = false;
+    int jobs = 0;
+    std::string machinesDir = GPSCHED_FUZZ_MACHINES_DIR;
+    std::string failuresDir = "fuzz-failures";
+    std::string out;
+    ScheduleCorruption corruption = ScheduleCorruption::None;
+    std::string ddgPath;
+    std::string machineSpec;
+    std::optional<SchedulerKind> scheme;
+    std::optional<FuzzVerdict> expect;
+};
+
+constexpr int kMaxLoops = 1 << 30;
+
+/** The commands, each with a one-line summary. */
+const std::vector<std::pair<std::string, std::string>> kCommands = {
+    {"gen", "emit a seeded corpus as multi-DDG text"},
+    {"sweep", "check the corpus on every scheme and machine; exit 1 "
+              "iff a case fails (minimized into --failures)"},
+    {"repro", "re-run one reproducer; exit 0 iff it still fails"},
+};
+
+/** The flag table of @p command, writing into @p o. */
+FlagTable
+commandFlags(const std::string &argv0, const std::string &command,
+             FuzzOptions &o)
+{
+    FlagTable flags(argv0 + " " + command);
+    if (command == "gen" || command == "sweep") {
+        flags.u64("--seed", &o.seed, "corpus seed")
+            .count("--count", &o.count, 1, kMaxLoops,
+                   "corpus loops ($GPSCHED_FUZZ_LOOPS overrides the "
+                   "default)");
     }
-    GPSCHED_FATAL("bad verdict '", text, "'");
+    if (command == "gen") {
+        o.out = "-";
+        flags.text("--out", &o.out, "PATH",
+                   "corpus path, '-' = stdout");
+    } else if (command == "sweep") {
+        flags.flag("--smoke", &o.smoke, "sweep 50 loops")
+            .jobs(&o.jobs)
+            .text("--machines", &o.machinesDir, "DIR",
+                  ".machine files swept beside the Table-1 presets")
+            .text("--failures", &o.failuresDir, "DIR",
+                  "where failing cases are minimized and recorded")
+            .text("--out", &o.out, "PATH",
+                  "also write the corpus there");
+    } else {
+        std::vector<std::pair<std::string, FuzzVerdict>> verdicts;
+        for (FuzzVerdict v :
+             {FuzzVerdict::Pass, FuzzVerdict::CompileRejected,
+              FuzzVerdict::OracleDisagree,
+              FuzzVerdict::ScheduleRejected,
+              FuzzVerdict::MetricMismatch})
+            verdicts.push_back({toString(v), v});
+        flags.text("--ddg", &o.ddgPath, "FILE", "reproducer DDG file")
+            .text("--machine", &o.machineSpec, "SPEC",
+                  "registry name or .machine file path")
+            .choice("--scheme", &o.scheme, schemeChoices(),
+                    "scheme to compile")
+            .choice("--expect", &o.expect, verdicts,
+                    "only this failure verdict counts");
+    }
+    if (command != "gen") {
+        flags.choice("--corrupt", &o.corruption, kCorruptions,
+                     "damage every record before the oracles (canary)");
+    }
+    return flags;
+}
+
+/** Top-level usage: the commands, then each command's flags. */
+std::string
+usage(const std::string &argv0)
+{
+    std::string text = "usage: " + argv0 + " <command> [options]\n";
+    for (const auto &[command, summary] : kCommands) {
+        FuzzOptions defaults;
+        text += "\n" + command + ": " + summary + "\n" +
+                commandFlags(argv0, command, defaults).usage();
+    }
+    return text;
 }
 
 // ---------------------------------------------------------------
@@ -187,33 +156,19 @@ parseVerdict(const std::string &text)
 // ---------------------------------------------------------------
 
 int
-runGen(int argc, char **argv)
+runGen(const FuzzOptions &o)
 {
-    std::uint64_t seed = 0xf022c0de5eedULL;
-    int count = envLoops(100);
-    std::string out = "-";
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--seed")
-            seed = parseU64(needValue(argc, argv, i), "--seed");
-        else if (arg == "--count")
-            count = parseCount(needValue(argc, argv, i), "--count");
-        else if (arg == "--out")
-            out = needValue(argc, argv, i);
-        else
-            usage(gArgv0);
-    }
     LatencyTable lat;
-    if (out == "-") {
-        writeCorpus(std::cout, seed, count, lat);
+    if (o.out == "-") {
+        writeCorpus(std::cout, o.seed, o.count, lat);
         return 0;
     }
-    std::ofstream os(out);
+    std::ofstream os(o.out);
     if (!os)
-        GPSCHED_FATAL("cannot write corpus to '", out, "'");
-    writeCorpus(os, seed, count, lat);
-    std::cerr << "wrote " << count << " loops (seed " << seed
-              << ") to " << out << "\n";
+        GPSCHED_FATAL("cannot write corpus to '", o.out, "'");
+    writeCorpus(os, o.seed, o.count, lat);
+    std::cerr << "wrote " << o.count << " loops (seed " << o.seed
+              << ") to " << o.out << "\n";
     return 0;
 }
 
@@ -236,7 +191,7 @@ artifactStem(const SweepFailure &f)
 {
     std::string stem = f.fuzzCase.ddg.name() + "__" +
                        f.first.machine + "__" +
-                       schemeFlag(f.first.scheme);
+                       schemeName(f.first.scheme);
     for (char &c : stem) {
         if (!(std::isalnum(static_cast<unsigned char>(c)) ||
               c == '_' || c == '-'))
@@ -246,47 +201,19 @@ artifactStem(const SweepFailure &f)
 }
 
 int
-runSweep(int argc, char **argv)
+runSweep(const std::string &argv0, const FuzzOptions &o)
 {
-    std::uint64_t seed = 0xf022c0de5eedULL;
-    int count = envLoops(100);
-    int jobs = ThreadPool::hardwareConcurrency();
-    std::string machinesDir = GPSCHED_FUZZ_MACHINES_DIR;
-    std::string failuresDir = "fuzz-failures";
-    std::string corpusOut;
-    ScheduleCorruption corruption = ScheduleCorruption::None;
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--seed")
-            seed = parseU64(needValue(argc, argv, i), "--seed");
-        else if (arg == "--count")
-            count = parseCount(needValue(argc, argv, i), "--count");
-        else if (arg == "--smoke")
-            count = 50;
-        else if (arg == "--jobs")
-            jobs = parseCount(needValue(argc, argv, i), "--jobs");
-        else if (arg == "--machines")
-            machinesDir = needValue(argc, argv, i);
-        else if (arg == "--failures")
-            failuresDir = needValue(argc, argv, i);
-        else if (arg == "--out")
-            corpusOut = needValue(argc, argv, i);
-        else if (arg == "--corrupt")
-            corruption =
-                parseCorrupt(needValue(argc, argv, i));
-        else
-            usage(gArgv0);
-    }
+    const int count = o.smoke ? 50 : o.count;
 
     LatencyTable lat;
-    std::vector<FuzzMachine> machines = fuzzMachines(machinesDir);
+    std::vector<FuzzMachine> machines = fuzzMachines(o.machinesDir);
     std::vector<MachineConfig> configs = fuzzConfigs(machines);
 
-    if (!corpusOut.empty()) {
-        std::ofstream os(corpusOut);
+    if (!o.out.empty()) {
+        std::ofstream os(o.out);
         if (!os)
-            GPSCHED_FATAL("cannot write corpus to '", corpusOut, "'");
-        writeCorpus(os, seed, count, lat);
+            GPSCHED_FATAL("cannot write corpus to '", o.out, "'");
+        writeCorpus(os, o.seed, count, lat);
     }
 
     std::mutex mu;
@@ -294,12 +221,13 @@ runSweep(int argc, char **argv)
     long moduloScheduled = 0;
     std::vector<SweepFailure> failing;
     {
-        ThreadPool pool(jobs);
+        ThreadPool pool(o.jobs == 0 ? ThreadPool::hardwareConcurrency()
+                                    : o.jobs);
         for (int i = 0; i < count; ++i) {
             pool.submit([&, i] {
-                FuzzCase c = corpusCase(seed, i, lat);
+                FuzzCase c = corpusCase(o.seed, i, lat);
                 FuzzCaseResult r =
-                    runFuzzCase(c.ddg, configs, corruption);
+                    runFuzzCase(c.ddg, configs, o.corruption);
                 std::lock_guard<std::mutex> lock(mu);
                 pairsCompiled += r.pairsCompiled;
                 moduloScheduled += r.moduloScheduled;
@@ -317,9 +245,9 @@ runSweep(int argc, char **argv)
                   return a.fuzzCase.index < b.fuzzCase.index;
               });
 
-    std::cout << "ddg_fuzz sweep: seed " << seed << ", " << count
+    std::cout << "ddg_fuzz sweep: seed " << o.seed << ", " << count
               << " loops x " << machines.size() << " machines x 3 "
-              << "schemes (corruption " << corruptFlag(corruption)
+              << "schemes (corruption " << corruptFlag(o.corruption)
               << ")\n"
               << "  pairs compiled: " << pairsCompiled << " ("
               << moduloScheduled << " modulo-scheduled)\n"
@@ -332,8 +260,8 @@ runSweep(int argc, char **argv)
     // minimization marathon; the cap is logged, never silent.
     const std::size_t maxMinimized = 10;
     namespace fs = std::filesystem;
-    fs::create_directories(failuresDir);
-    std::string tool = fs::absolute(gArgv0).string();
+    fs::create_directories(o.failuresDir);
+    std::string tool = fs::absolute(argv0).string();
     std::size_t minimized = 0;
     for (const SweepFailure &f : failing) {
         if (minimized >= maxMinimized) {
@@ -352,7 +280,7 @@ runSweep(int argc, char **argv)
                        f.first.machine);
         auto stillFails = [&](const Ddg &g) {
             FuzzCaseResult r =
-                runFuzzCase(g, {fm->config}, corruption);
+                runFuzzCase(g, {fm->config}, o.corruption);
             for (const FuzzFailure &rf : r.failures) {
                 if (rf.scheme == f.first.scheme &&
                     rf.kind == f.first.kind)
@@ -365,16 +293,16 @@ runSweep(int argc, char **argv)
             minimizeDdg(f.fuzzCase.ddg, stillFails, &stats, 4000);
 
         std::string stem = artifactStem(f);
-        fs::path minPath = fs::path(failuresDir) / (stem + ".min.ddg");
+        fs::path minPath = fs::path(o.failuresDir) / (stem + ".min.ddg");
         fs::path origPath =
-            fs::path(failuresDir) / (stem + ".orig.ddg");
-        fs::path reproPath = fs::path(failuresDir) / (stem + ".repro");
+            fs::path(o.failuresDir) / (stem + ".orig.ddg");
+        fs::path reproPath = fs::path(o.failuresDir) / (stem + ".repro");
         auto header = [&](std::ostream &os) {
             os << "# " << f.first.toString() << "\n"
                << "# case " << f.fuzzCase.index << " seed "
                << f.fuzzCase.seed << " shape "
                << toString(f.fuzzCase.shape) << " corruption "
-               << corruptFlag(corruption) << "\n";
+               << corruptFlag(o.corruption) << "\n";
         };
         {
             std::ofstream os(origPath);
@@ -395,8 +323,8 @@ runSweep(int argc, char **argv)
             os << tool << " repro --ddg "
                << fs::absolute(minPath).string() << " --machine "
                << fm->spec << " --scheme "
-               << schemeFlag(f.first.scheme) << " --corrupt "
-               << corruptFlag(corruption) << " --expect "
+               << schemeName(f.first.scheme) << " --corrupt "
+               << corruptFlag(o.corruption) << " --expect "
                << toString(f.first.kind) << "\n";
         }
         std::cout << "  FAIL " << f.first.toString() << "\n"
@@ -414,79 +342,28 @@ runSweep(int argc, char **argv)
 // ---------------------------------------------------------------
 
 int
-runRepro(int argc, char **argv)
+runRepro(const FuzzOptions &o)
 {
-    std::string ddgPath;
-    std::string machineSpec;
-    std::string schemeText;
-    ScheduleCorruption corruption = ScheduleCorruption::None;
-    bool haveExpect = false;
-    FuzzVerdict expect = FuzzVerdict::Pass;
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--ddg")
-            ddgPath = needValue(argc, argv, i);
-        else if (arg == "--machine")
-            machineSpec = needValue(argc, argv, i);
-        else if (arg == "--scheme")
-            schemeText = needValue(argc, argv, i);
-        else if (arg == "--corrupt")
-            corruption = parseCorrupt(needValue(argc, argv, i));
-        else if (arg == "--expect") {
-            expect = parseVerdict(needValue(argc, argv, i));
-            haveExpect = true;
-        } else
-            usage(gArgv0);
-    }
-    if (ddgPath.empty() || machineSpec.empty() || schemeText.empty())
-        usage(gArgv0);
-    SchedulerKind scheme = parseScheme(schemeText);
     MachineConfig machine =
-        MachineRegistry::builtin().resolve(machineSpec);
-
-    std::ifstream in(ddgPath);
-    if (!in)
-        GPSCHED_FATAL("cannot open DDG file '", ddgPath, "'");
-    std::vector<Ddg> loops;
-    for (;;) {
-        // Peek for content so trailing blanks/comments don't read
-        // as a truncated block (same loop as gpsched_cli).
-        std::string line;
-        std::streampos before = in.tellg();
-        bool content = false;
-        while (std::getline(in, line)) {
-            auto hash = line.find('#');
-            if (hash != std::string::npos)
-                line.erase(hash);
-            if (line.find_first_not_of(" \t\r") != std::string::npos) {
-                content = true;
-                break;
-            }
-            before = in.tellg();
-        }
-        if (!content)
-            break;
-        in.seekg(before);
-        loops.push_back(readDdgText(in));
-    }
-    if (loops.empty())
-        GPSCHED_FATAL("no DDGs found in '", ddgPath, "'");
+        MachineRegistry::builtin().resolve(o.machineSpec);
+    std::vector<DdgBlock> loops = readDdgFile(o.ddgPath, false);
 
     bool reproduced = false;
-    for (const Ddg &g : loops) {
-        FuzzCaseResult r = runFuzzCase(g, {machine}, corruption);
+    for (const DdgBlock &block : loops) {
+        FuzzCaseResult r =
+            runFuzzCase(block.ddg, {machine}, o.corruption);
         for (const FuzzFailure &f : r.failures) {
-            if (f.scheme != scheme)
+            if (f.scheme != *o.scheme)
                 continue;
-            if (haveExpect && f.kind != expect)
+            if (o.expect && f.kind != *o.expect)
                 continue;
             std::cout << "reproduced: " << f.toString() << "\n";
             reproduced = true;
         }
     }
     if (!reproduced) {
-        std::cout << "not reproduced: " << ddgPath << " @ "
-                  << machineSpec << "/" << schemeText
+        std::cout << "not reproduced: " << o.ddgPath << " @ "
+                  << o.machineSpec << "/" << schemeName(*o.scheme)
                   << " compiles clean\n";
         return 1;
     }
@@ -498,15 +375,39 @@ runRepro(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    gArgv0 = argv[0];
-    if (argc < 2)
-        usage(argv[0]);
-    std::string cmd = argv[1];
-    if (cmd == "gen")
-        return runGen(argc, argv);
-    if (cmd == "sweep")
-        return runSweep(argc, argv);
-    if (cmd == "repro")
-        return runRepro(argc, argv);
-    usage(argv[0]);
+    const std::string argv0 = argv[0];
+    const std::string command = argc > 1 ? argv[1] : "";
+    if (command == "--help") {
+        std::cout << usage(argv0);
+        return 0;
+    }
+    bool known = false;
+    for (const auto &entry : kCommands)
+        known |= entry.first == command;
+    if (!known) {
+        std::cerr << argv0 << ": "
+                  << (command.empty() ? "missing command"
+                                      : "unknown command '" + command +
+                                            "'")
+                  << "\n"
+                  << usage(argv0);
+        return 2;
+    }
+
+    FuzzOptions o;
+    if (const char *env = std::getenv("GPSCHED_FUZZ_LOOPS"); env && *env) {
+        std::optional<int> loops = parseCountText(env, 1, kMaxLoops);
+        if (!loops)
+            GPSCHED_FATAL("bad GPSCHED_FUZZ_LOOPS '", env, "'");
+        o.count = *loops;
+    }
+    FlagTable flags = commandFlags(argv0, command, o);
+    flags.parse(argc - 1, argv + 1);
+    if (command == "gen")
+        return runGen(o);
+    if (command == "sweep")
+        return runSweep(argv0, o);
+    if (o.ddgPath.empty() || o.machineSpec.empty() || !o.scheme)
+        flags.fail("repro needs --ddg, --machine and --scheme");
+    return runRepro(o);
 }

@@ -21,23 +21,9 @@
 
 #include "graph/textio.hh"
 #include "support/compile_error.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "workload/import.hh"
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " [--out PATH] [--keep-going] input.json...\n"
-              << "  converts JSON loop dumps (see docs/fuzzing.md)\n"
-              << "  to .ddg text; '-' or no --out writes stdout\n";
-    std::exit(2);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -46,23 +32,13 @@ main(int argc, char **argv)
 
     std::string out = "-";
     bool keepGoing = false;
-    std::vector<std::string> files;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--out") {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            out = argv[++i];
-        } else if (arg == "--keep-going") {
-            keepGoing = true;
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            usage(argv[0]);
-        } else {
-            files.push_back(arg);
-        }
-    }
+    FlagTable flags(argv[0], "<input.json>...");
+    flags.text("--out", &out, "PATH", ".ddg output path, '-' = stdout")
+        .flag("--keep-going", &keepGoing,
+              "report a malformed file, skip it, exit 1 at the end");
+    std::vector<std::string> files = flags.parse(argc, argv);
     if (files.empty())
-        usage(argv[0]);
+        flags.fail("no input files");
 
     std::ofstream fileOut;
     if (out != "-") {

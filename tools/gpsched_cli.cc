@@ -6,62 +6,33 @@
  * or all schemes, and emit a JSON report with per-loop schedule
  * metrics and engine/cache statistics.
  *
- * Usage:
  *   gpsched_cli [options] <ddg-file>...
- *     --machine SPEC    legacy preset (unified|2cluster|4cluster,
- *                       shaped by --regs/--buses/--bus-latency), a
- *                       registry name (e.g. 4c-r64-b1), or a path to
- *                       a .machine description file (default
- *                       4cluster)
- *     --list-machines   print the registry names and exit
- *     --regs N          total registers (default 64; legacy presets)
- *     --buses N         inter-cluster buses (default 1; legacy)
- *     --bus-latency N   bus transfer latency (default 1; legacy)
- *     --scheme uracam|fixed|gp|all          scheme (default gp)
- *     --jobs N          engine workers; 0 = hardware (default 0)
- *     --repeat N        compile the batch N times (cache demo)
- *     --cache-dir PATH  persistent compile cache directory; results
- *                       are reused across runs (default: disabled)
- *     --keep-going      per-loop fault isolation: a malformed or
- *                       rejected loop becomes an error object in the
- *                       report instead of aborting the run; exit
- *                       status is nonzero iff any loop failed
- *     --simulate        hold every compiled loop to the record
- *                       contract (sim::checkRecord: validator and
- *                       replay simulator agree, II/cycles/IPC match
- *                       bit-exactly) and add replayed/simOk/
- *                       achievedII/achievedIpc to each loop row
- *                       (simFault on a rejected replay, recordCheck
- *                       on any failed check); exit status is nonzero
- *                       iff a check fails
- *     --json PATH       report path; '-' = stdout (default '-')
- *     --stats-json PATH unified metric-registry dump (engine/cache/
- *                       disk/pool/phase counters; see
- *                       docs/ARCHITECTURE.md "Telemetry")
- *     --trace PATH      Chrome trace-event file (one pid per engine,
- *                       one tid per worker; load in Perfetto or
- *                       chrome://tracing)
  *
- * Without --keep-going the first failing loop ends the run with a
- * fatal file:line diagnostic (the historical behavior).
+ * The flags are declared once in parseArgs (support/flags.hh);
+ * `gpsched_cli --help` prints them. --machine takes a registry name
+ * (--list-machines; default 4c-r64-b1) or a .machine file path.
+ * --keep-going turns each malformed or rejected loop into an error
+ * object in the report; without it the first failing loop ends the
+ * run with a fatal file:line diagnostic. --simulate holds every
+ * compiled loop to the record contract (sim::checkRecord). Exit
+ * status is 2 on a usage error, otherwise nonzero iff a loop or a
+ * record check failed.
  */
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hh"
 #include "engine/engine.hh"
 #include "graph/textio.hh"
-#include "machine/configs.hh"
 #include "machine/registry.hh"
 #include "sim/replay.hh"
 #include "support/compile_error.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -72,12 +43,8 @@ namespace
 
 struct CliOptions
 {
-    std::string machine = "4cluster";
-    int regs = 64;
-    int buses = 1;
-    int busLatency = 1;
-    bool legacyShapeFlags = false; ///< --regs/--buses/--bus-latency
-    std::string scheme = "gp";
+    std::string machine = "4c-r64-b1";
+    std::vector<SchedulerKind> schemes = {SchedulerKind::Gp};
     int jobs = 0;
     int repeat = 1;
     std::string cacheDir;
@@ -89,256 +56,53 @@ struct CliOptions
     std::vector<std::string> files;
 };
 
-[[noreturn]] void
-usage(const char *argv0, int status)
-{
-    std::ostream &os = status == 0 ? std::cout : std::cerr;
-    os << "usage: " << argv0 << " [options] <ddg-file>...\n"
-       << "  --machine SPEC   unified|2cluster|4cluster preset, a\n"
-       << "                   registry name (see --list-machines) or\n"
-       << "                   a .machine file path (default 4cluster)\n"
-       << "  --list-machines  print registry machine names and exit\n"
-       << "  --regs N         total registers (default 64; legacy\n"
-       << "                   presets only)\n"
-       << "  --buses N        inter-cluster buses (default 1; legacy)\n"
-       << "  --bus-latency N  bus latency cycles (default 1; legacy)\n"
-       << "  --scheme uracam|fixed|gp|all (default gp)\n"
-       << "  --jobs N         engine workers, 0 = hardware (default 0)\n"
-       << "  --repeat N       compile the batch N times (default 1)\n"
-       << "  --cache-dir PATH persistent compile cache directory\n"
-       << "                   (reused across runs; default off)\n"
-       << "  --keep-going     report per-loop failures as JSON error\n"
-       << "                   objects instead of aborting; exit 1\n"
-       << "                   iff any loop failed\n"
-       << "  --simulate       check compiled loops with both oracles\n"
-       << "                   (validator + cycle-accurate replay);\n"
-       << "                   adds simOk/achievedII/achievedIpc per\n"
-       << "                   loop, exit 1 iff a record check fails\n"
-       << "  --json PATH      JSON report path, '-' = stdout\n"
-       << "  --stats-json PATH  write the unified metric registry\n"
-       << "                   (engine/disk/pool/phase) as JSON\n"
-       << "  --trace PATH     write a Chrome trace-event file\n"
-       << "                   (Perfetto-loadable)\n";
-    std::exit(status);
-}
-
-/** Strict non-negative integer parse; exits 2 on any other text. */
-int
-parseCount(const char *argv0, const std::string &flag,
-           const std::string &text)
-{
-    char *end = nullptr;
-    errno = 0;
-    long value = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' ||
-        value < 0 || value > 1 << 20) {
-        std::cerr << argv0 << ": " << flag
-                  << " needs a non-negative integer, got '" << text
-                  << "'\n";
-        std::exit(2);
-    }
-    return static_cast<int>(value);
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions options;
-    auto needValue = [&](int &i) -> std::string {
-        if (i + 1 >= argc) {
-            std::cerr << argv[0] << ": " << argv[i]
-                      << " needs a value\n";
-            usage(argv[0], 2);
-        }
-        return argv[++i];
-    };
-    auto countValue = [&](int &i) {
-        std::string flag = argv[i];
-        return parseCount(argv[0], flag, needValue(i));
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--machine") {
-            options.machine = needValue(i);
-        } else if (arg == "--list-machines") {
-            for (const std::string &name :
-                 MachineRegistry::builtin().names())
-                std::cout << name << "\n";
-            std::exit(0);
-        } else if (arg == "--regs") {
-            options.regs = countValue(i);
-            options.legacyShapeFlags = true;
-        } else if (arg == "--buses") {
-            options.buses = countValue(i);
-            options.legacyShapeFlags = true;
-        } else if (arg == "--bus-latency") {
-            options.busLatency = countValue(i);
-            options.legacyShapeFlags = true;
-        } else if (arg == "--scheme")
-            options.scheme = needValue(i);
-        else if (arg == "--jobs")
-            options.jobs = countValue(i);
-        else if (arg == "--repeat")
-            options.repeat = countValue(i);
-        else if (arg == "--cache-dir")
-            options.cacheDir = needValue(i);
-        else if (arg == "--keep-going")
-            options.keepGoing = true;
-        else if (arg == "--simulate")
-            options.simulate = true;
-        else if (arg == "--json")
-            options.jsonPath = needValue(i);
-        else if (arg == "--stats-json")
-            options.statsJsonPath = needValue(i);
-        else if (arg == "--trace")
-            options.tracePath = needValue(i);
-        else if (arg == "--help" || arg == "-h")
-            usage(argv[0], 0);
-        else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << argv[0] << ": unknown option '" << arg
-                      << "'\n";
-            usage(argv[0], 2);
-        } else {
-            options.files.push_back(arg);
-        }
+    bool listMachines = false;
+    std::vector<std::pair<std::string, std::vector<SchedulerKind>>>
+        schemes;
+    std::vector<SchedulerKind> all;
+    for (const auto &[name, kind] : schemeChoices()) {
+        schemes.push_back({name, {kind}});
+        all.push_back(kind);
     }
-    if (options.files.empty()) {
-        std::cerr << argv[0] << ": no input files\n";
-        usage(argv[0], 2);
+    schemes.push_back({"all", all});
+    FlagTable flags(argv[0], "<ddg-file>...");
+    flags.text("--machine", &options.machine, "SPEC",
+               "registry name or .machine file path")
+        .flag("--list-machines", &listMachines,
+              "print the registry machine names and exit")
+        .choice("--scheme", &options.schemes, schemes,
+                "scheme(s) to compile with")
+        .jobs(&options.jobs)
+        .count("--repeat", &options.repeat, 1, 1 << 20,
+               "compile the batch N times (cache demo)")
+        .text("--cache-dir", &options.cacheDir, "PATH",
+              "persistent compile cache directory (default off)")
+        .flag("--keep-going", &options.keepGoing,
+              "report failing loops as JSON error objects; exit 1 "
+              "iff any loop failed")
+        .flag("--simulate", &options.simulate,
+              "hold every compiled loop to the record contract; exit "
+              "1 iff a check fails")
+        .text("--json", &options.jsonPath, "PATH",
+              "JSON report path, '-' = stdout")
+        .text("--stats-json", &options.statsJsonPath, "PATH",
+              "write the unified metric registry as JSON")
+        .text("--trace", &options.tracePath, "PATH",
+              "write a Chrome trace-event file (Perfetto-loadable)");
+    options.files = flags.parse(argc, argv);
+    if (listMachines) {
+        for (const std::string &name :
+             MachineRegistry::builtin().names())
+            std::cout << name << "\n";
+        std::exit(0);
     }
-    if (options.jobs < 0 || options.repeat < 1)
-        GPSCHED_FATAL("--jobs must be >= 0 and --repeat >= 1");
+    if (options.files.empty())
+        flags.fail("no input files");
     return options;
-}
-
-MachineConfig
-machineFor(const CliOptions &options)
-{
-    // Legacy presets keep their shape flags.
-    if (options.machine == "unified")
-        return unifiedConfig(options.regs);
-    if (options.machine == "2cluster")
-        return twoClusterConfig(options.regs, options.busLatency,
-                                options.buses);
-    if (options.machine == "4cluster")
-        return fourClusterConfig(options.regs, options.busLatency,
-                                 options.buses);
-    // Anything else is a registry name or a .machine file, whose
-    // shape is fully self-described.
-    if (options.legacyShapeFlags)
-        GPSCHED_FATAL("--regs/--buses/--bus-latency only apply to "
-                      "the unified|2cluster|4cluster presets, not "
-                      "to '",
-                      options.machine, "'");
-    return MachineRegistry::builtin().resolve(options.machine);
-}
-
-std::vector<SchedulerKind>
-schemesFor(const CliOptions &options)
-{
-    if (options.scheme == "uracam")
-        return {SchedulerKind::Uracam};
-    if (options.scheme == "fixed")
-        return {SchedulerKind::FixedPartition};
-    if (options.scheme == "gp")
-        return {SchedulerKind::Gp};
-    if (options.scheme == "all")
-        return {SchedulerKind::Uracam, SchedulerKind::FixedPartition,
-                SchedulerKind::Gp};
-    GPSCHED_FATAL("unknown scheme '", options.scheme,
-                  "' (uracam|fixed|gp|all)");
-}
-
-/** One input block and where it came from; either a parsed DDG or a
- *  parse diagnostic (--keep-going records the latter and goes on). */
-struct InputLoop
-{
-    std::string file;
-    Ddg ddg;
-    std::optional<CompileError> parseError;
-
-    bool parsed() const { return !parseError.has_value(); }
-};
-
-/**
- * Skips forward to the next top-level `ddg` line so one malformed
- * block cannot swallow the rest of its file in --keep-going mode.
- */
-void
-resyncToNextBlock(std::ifstream &in)
-{
-    std::string line;
-    std::streampos before = in.tellg();
-    while (std::getline(in, line)) {
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream ls(line);
-        std::string keyword;
-        if ((ls >> keyword) && keyword == "ddg") {
-            in.seekg(before);
-            return;
-        }
-        before = in.tellg();
-    }
-}
-
-/**
- * Reads every `ddg ... end` block of every input file. A block that
- * fails to parse throws its CompileError unless @p keepGoing, in
- * which case it is recorded as a failed InputLoop and parsing
- * resumes at the next block.
- */
-std::vector<InputLoop>
-readInputs(const std::vector<std::string> &files, bool keepGoing)
-{
-    std::vector<InputLoop> loops;
-    for (const std::string &path : files) {
-        std::ifstream in(path);
-        if (!in)
-            GPSCHED_FATAL("cannot open DDG file '", path, "'");
-        // Peek for content before each parse so trailing blank lines
-        // and comments don't read as a truncated DDG.
-        for (;;) {
-            std::string line;
-            std::streampos before = in.tellg();
-            bool content = false;
-            while (std::getline(in, line)) {
-                auto hash = line.find('#');
-                if (hash != std::string::npos)
-                    line.erase(hash);
-                if (line.find_first_not_of(" \t\r") !=
-                    std::string::npos) {
-                    content = true;
-                    break;
-                }
-                before = in.tellg();
-            }
-            if (!content)
-                break;
-            in.seekg(before);
-            try {
-                InputLoop input;
-                input.file = path;
-                input.ddg = readDdgText(in);
-                loops.push_back(std::move(input));
-            } catch (const CompileError &error) {
-                if (!keepGoing)
-                    throw;
-                GPSCHED_WARN("skipping malformed DDG block in '",
-                             path, "': ", error.what());
-                InputLoop bad;
-                bad.file = path;
-                bad.parseError = error;
-                loops.push_back(std::move(bad));
-                in.clear();
-                resyncToNextBlock(in);
-            }
-        }
-        if (loops.empty() || loops.back().file != path)
-            GPSCHED_FATAL("no DDGs found in '", path, "'");
-    }
-    return loops;
 }
 
 /** The report's error-object schema: kind, message, location. */
@@ -355,8 +119,7 @@ writeErrorObject(JsonWriter &json, const CompileError &error)
 void
 writeReport(std::ostream &os, const CliOptions &options,
             const MachineConfig &machine,
-            const std::vector<SchedulerKind> &schemes,
-            const std::vector<InputLoop> &inputs,
+            const std::vector<DdgBlock> &inputs,
             const std::vector<CompileResult> &results,
             const std::vector<std::optional<sim::RecordCheck>> &checks,
             const Engine &engine)
@@ -399,10 +162,10 @@ writeReport(std::ostream &os, const CliOptions &options,
     // Engine results cover the parsed inputs only, scheme-major in
     // the same order the batch was built.
     std::size_t next = 0;
-    for (const SchedulerKind kind : schemes) {
-        for (const InputLoop &input : inputs) {
+    for (const SchedulerKind kind : options.schemes) {
+        for (const DdgBlock &input : inputs) {
             json.beginObject();
-            json.member("file", input.file);
+            json.member("file", input.source);
             if (!input.parsed()) {
                 json.member("name", input.parseError->loopName());
                 json.member("scheme", toString(kind));
@@ -486,10 +249,13 @@ int
 run(int argc, char **argv)
 {
     CliOptions options = parseArgs(argc, argv);
-    MachineConfig machine = machineFor(options);
-    std::vector<SchedulerKind> schemes = schemesFor(options);
-    std::vector<InputLoop> inputs =
-        readInputs(options.files, options.keepGoing);
+    MachineConfig machine =
+        MachineRegistry::builtin().resolve(options.machine);
+    std::vector<DdgBlock> inputs;
+    for (const std::string &path : options.files) {
+        for (DdgBlock &block : readDdgFile(path, options.keepGoing))
+            inputs.push_back(std::move(block));
+    }
 
     // Telemetry destinations outlive the engine (required: worker
     // threads write into them until the engine is destroyed).
@@ -509,9 +275,9 @@ run(int argc, char **argv)
     Engine engine(engineOptions);
 
     std::vector<EngineJob> batch;
-    batch.reserve(schemes.size() * inputs.size());
-    for (const SchedulerKind kind : schemes) {
-        for (const InputLoop &input : inputs) {
+    batch.reserve(options.schemes.size() * inputs.size());
+    for (const SchedulerKind kind : options.schemes) {
+        for (const DdgBlock &input : inputs) {
             if (!input.parsed())
                 continue;
             EngineJob job;
@@ -550,7 +316,7 @@ run(int argc, char **argv)
     }
 
     bool anyFailed = simFailed;
-    for (const InputLoop &input : inputs)
+    for (const DdgBlock &input : inputs)
         anyFailed |= !input.parsed();
     for (const CompileResult &result : results) {
         if (!result.ok()) {
@@ -563,14 +329,14 @@ run(int argc, char **argv)
     }
 
     if (options.jsonPath == "-") {
-        writeReport(std::cout, options, machine, schemes, inputs,
+        writeReport(std::cout, options, machine, inputs,
                     results, checks, engine);
     } else {
         std::ofstream out(options.jsonPath);
         if (!out)
             GPSCHED_FATAL("cannot open JSON report path '",
                           options.jsonPath, "'");
-        writeReport(out, options, machine, schemes, inputs, results,
+        writeReport(out, options, machine, inputs, results,
                     checks, engine);
     }
 
