@@ -320,16 +320,22 @@ Engine::compileOne(const EngineJob &job)
     return runJob(job);
 }
 
+void
+Engine::runIndexed(std::size_t count,
+                   const std::function<void(std::size_t)> &task)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        pool_.submit([&task, i] { task(i); });
+    pool_.wait();
+}
+
 std::vector<CompileResult>
 Engine::compileBatch(const std::vector<EngineJob> &batch)
 {
     std::vector<CompileResult> results(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        pool_.submit([this, &batch, &results, i] {
-            results[i] = runJob(batch[i]);
-        });
-    }
-    pool_.wait();
+    runIndexed(batch.size(), [&](std::size_t i) {
+        results[i] = runJob(batch[i]);
+    });
     return results;
 }
 

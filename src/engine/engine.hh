@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -238,6 +239,16 @@ class Engine
 
     /** Compiles one job on the calling thread (cache still used). */
     CompileResult compileOne(const EngineJob &job);
+
+    /**
+     * Runs @p task(i) for every i in [0, @p count) on the worker
+     * pool and returns once all have finished; at 1 job the tasks
+     * run inline, in index order. A task should write only its own
+     * index's output, so results do not depend on the job count.
+     * The first exception a task throws is rethrown here.
+     */
+    void runIndexed(std::size_t count,
+                    const std::function<void(std::size_t)> &task);
 
     /** Effective worker count (>= 1). */
     int jobs() const { return jobs_; }

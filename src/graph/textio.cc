@@ -1,8 +1,12 @@
 #include "graph/textio.hh"
 
+#include <array>
+#include <charconv>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -26,10 +30,109 @@ writeDdgText(std::ostream &os, const Ddg &ddg)
     os << "end\n";
 }
 
-Ddg
-readDdgText(std::istream &is)
+namespace
 {
-    std::string line;
+
+/** Whitespace as `operator>>` skips it. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r' ||
+           c == '\v' || c == '\f';
+}
+
+/** Most tokens a line may hold:
+ *  `edge <src> <dst> <latency> <distance> <kind>`. */
+constexpr int kMaxTokens = 6;
+
+/** The tokens of one line, as views into the line buffer. */
+struct Tokens
+{
+    std::array<std::string_view, kMaxTokens> at;
+
+    /** Tokens on the line; kMaxTokens + 1 when it holds more. */
+    int count = 0;
+};
+
+void
+tokenize(std::string_view text, Tokens &tokens)
+{
+    tokens.count = 0;
+    std::size_t i = 0;
+    for (;;) {
+        while (i < text.size() && isSpace(text[i]))
+            ++i;
+        if (i == text.size())
+            return;
+        if (tokens.count == kMaxTokens) {
+            ++tokens.count;
+            return;
+        }
+        const std::size_t start = i;
+        while (i < text.size() && !isSpace(text[i]))
+            ++i;
+        tokens.at[tokens.count++] = text.substr(start, i - start);
+    }
+}
+
+/** Parses a whole token as an optional '-' and decimal digits. */
+template <typename Int>
+bool
+parseInt(std::string_view token, Int &value)
+{
+    const char *end = token.data() + token.size();
+    auto [stop, error] = std::from_chars(token.data(), end, value);
+    return error == std::errc() && stop == end;
+}
+
+/**
+ * The reader's line source: one reused getline buffer, comments
+ * stripped and blank lines skipped. The current line can be held
+ * back for the next call, so readDdgBlocks finds where a block
+ * starts without seeking the stream.
+ */
+class LineReader
+{
+  public:
+    explicit LineReader(std::istream &is) : is_(is) {}
+
+    /** Advances to the next line holding a token; false at the end
+     *  of the stream. */
+    bool
+    next()
+    {
+        if (std::exchange(held_, false))
+            return true;
+        while (std::getline(is_, buffer_)) {
+            text_ = buffer_;
+            text_ = text_.substr(0, text_.find('#'));
+            tokenize(text_, tokens_);
+            if (tokens_.count > 0)
+                return true;
+        }
+        return false;
+    }
+
+    /** Makes the next call to next() return the current line. */
+    void hold() { held_ = true; }
+
+    /** The current line, comment stripped. */
+    std::string_view text() const { return text_; }
+
+    const Tokens &tokens() const { return tokens_; }
+
+  private:
+    std::istream &is_;
+    std::string buffer_;
+    std::string_view text_;
+    Tokens tokens_;
+    bool held_ = false;
+};
+
+/** Parses lines up to and including the next `end` line. */
+Ddg
+parseBlock(LineReader &lines)
+{
     bool headerSeen = false;
     Ddg ddg;
 
@@ -41,45 +144,47 @@ readDdgText(std::istream &is)
                               headerSeen ? ddg.name() : "", message);
     };
 
-    while (std::getline(is, line)) {
-        // Strip comments.
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream ls(line);
-        std::string keyword;
-        if (!(ls >> keyword))
-            continue;
-
+    while (lines.next()) {
+        const Tokens &t = lines.tokens();
+        const std::string_view keyword = t.at[0];
         if (keyword == "ddg") {
-            std::string name;
+            if (headerSeen) {
+                // The header opens the next block: leave it for
+                // readDdgBlocks to resume at.
+                lines.hold();
+                fail(buildMessage("missing end before the next ddg "
+                                  "header: '",
+                                  lines.text(), "'"));
+            }
             std::int64_t trips = 0;
-            if (!(ls >> name >> trips) || trips < 1)
-                fail(buildMessage("malformed ddg header: '", line,
-                                  "'"));
-            ddg = Ddg(name);
+            if (t.count != 3 || !parseInt(t.at[2], trips) || trips < 1)
+                fail(buildMessage("malformed ddg header: '",
+                                  lines.text(), "'"));
+            ddg = Ddg(std::string(t.at[1]));
             ddg.setTripCount(trips);
             headerSeen = true;
         } else if (keyword == "node") {
             if (!headerSeen)
                 fail("node before ddg header");
-            std::string mnemonic, label;
-            if (!(ls >> mnemonic))
-                fail(buildMessage("malformed node line: '", line,
+            if (t.count < 2 || t.count > 3)
+                fail(buildMessage("malformed node line: '",
+                                  lines.text(), "'"));
+            Opcode opcode = Opcode::IAlu;
+            if (!opcodeFromString(t.at[1], opcode))
+                fail(buildMessage("unknown opcode mnemonic '", t.at[1],
                                   "'"));
-            ls >> label; // optional
-            Opcode opcode;
-            if (!opcodeFromString(mnemonic, opcode))
-                fail(buildMessage("unknown opcode mnemonic '",
-                                  mnemonic, "'"));
-            ddg.addNode(opcode, label);
+            // The label is optional.
+            ddg.addNode(opcode, std::string(t.count == 3 ? t.at[2]
+                                                         : ""));
         } else if (keyword == "edge") {
             if (!headerSeen)
                 fail("edge before ddg header");
-            int src, dst, lat, dist;
-            if (!(ls >> src >> dst >> lat >> dist))
-                fail(buildMessage("malformed edge line: '", line,
-                                  "'"));
+            int src = 0, dst = 0, lat = 0, dist = 0;
+            if (t.count < 5 || t.count > 6 || !parseInt(t.at[1], src) ||
+                !parseInt(t.at[2], dst) || !parseInt(t.at[3], lat) ||
+                !parseInt(t.at[4], dist))
+                fail(buildMessage("malformed edge line: '",
+                                  lines.text(), "'"));
             // Validate here what Ddg::addEdge asserts: its asserts
             // guard against gpsched bugs (panic), but this data is
             // user input and must reject with a recoverable
@@ -87,32 +192,34 @@ readDdgText(std::istream &is)
             if (src < 0 || src >= ddg.numNodes() || dst < 0 ||
                 dst >= ddg.numNodes())
                 fail(buildMessage("edge references unknown node: '",
-                                  line, "'"));
+                                  lines.text(), "'"));
             if (lat < 0 || dist < 0)
-                fail(buildMessage(
-                    "negative edge latency/distance: '", line, "'"));
+                fail(buildMessage("negative edge latency/distance: '",
+                                  lines.text(), "'"));
             if (src == dst && dist < 1)
-                fail(buildMessage(
-                    "self edge must be loop-carried: '", line, "'"));
-            std::string kindText = "flow";
-            ls >> kindText; // optional, defaults to flow
-            DepKind kind;
-            if (kindText == "flow")
-                kind = DepKind::Flow;
-            else if (kindText == "order")
+                fail(buildMessage("self edge must be loop-carried: '",
+                                  lines.text(), "'"));
+            // The kind is optional and defaults to flow.
+            const std::string_view kindText =
+                t.count == 6 ? t.at[5] : "flow";
+            DepKind kind = DepKind::Flow;
+            if (kindText == "order")
                 kind = DepKind::Order;
-            else
+            else if (kindText != "flow")
                 fail(buildMessage("unknown edge kind '", kindText,
                                   "'"));
             if (kind == DepKind::Flow &&
                 !definesValue(ddg.node(src).opcode))
                 fail(buildMessage("flow edge from non-defining op ",
                                   toString(ddg.node(src).opcode),
-                                  ": '", line, "'"));
+                                  ": '", lines.text(), "'"));
             ddg.addEdge(src, dst, lat, dist, kind);
         } else if (keyword == "end") {
             if (!headerSeen)
                 fail("end before ddg header");
+            if (t.count != 1)
+                fail(buildMessage("malformed end line: '", lines.text(),
+                                  "'"));
             return ddg;
         } else {
             fail(buildMessage("unknown keyword '", keyword, "'"));
@@ -122,50 +229,52 @@ readDdgText(std::istream &is)
     GPSCHED_PANIC("unreachable"); // fail() always throws
 }
 
-namespace
-{
+} // namespace
 
-/**
- * Seeks @p is to the next line whose first word (comments stripped)
- * satisfies @p stop; false if the stream ends first.
- */
 bool
-seekLine(std::istream &is, bool (*stop)(const std::string &word))
+isDdgTextToken(std::string_view text)
 {
-    std::string line, word;
-    for (std::streampos before = is.tellg(); std::getline(is, line);
-         before = is.tellg()) {
-        std::istringstream ls(line.substr(0, line.find('#')));
-        if ((ls >> word) && stop(word)) {
-            is.seekg(before);
-            return true;
-        }
+    for (char c : text) {
+        if (c == '#' || isSpace(c))
+            return false;
     }
-    return false;
+    return !text.empty();
 }
 
-} // namespace
+Ddg
+readDdgText(std::istream &is)
+{
+    LineReader lines(is);
+    return parseBlock(lines);
+}
 
 std::vector<DdgBlock>
 readDdgBlocks(std::istream &is, const std::string &source,
               bool keepGoing)
 {
+    LineReader lines(is);
     std::vector<DdgBlock> blocks;
-    while (seekLine(is, [](const std::string &) { return true; })) {
+    while (lines.next()) {
+        lines.hold();
         DdgBlock &block = blocks.emplace_back();
         block.source = source;
         try {
-            block.ddg = readDdgText(is);
+            block.ddg = parseBlock(lines);
         } catch (const CompileError &error) {
             if (!keepGoing)
                 throw;
             GPSCHED_WARN("skipping malformed DDG block in '", source,
                          "': ", error.what());
             block.parseError = error;
-            is.clear();
-            seekLine(is, [](const std::string &word) {
-                return word == "ddg";
-            });
+            // Resume at the next `ddg` line: the one after the
+            // failing line, or the failing line itself when it is the
+            // header that cut the block short (parseBlock held it).
+            while (lines.next()) {
+                if (lines.tokens().at[0] == "ddg") {
+                    lines.hold();
+                    break;
+                }
+            }
         }
     }
     if (blocks.empty())

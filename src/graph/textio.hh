@@ -9,8 +9,10 @@
  *   node <opcode> [label]
  *   edge <src> <dst> <latency> <distance> [flow|order]
  *   end
- * '#' starts a comment; blank lines are ignored. A file may hold
- * several blocks (readDdgFile).
+ * '#' starts a comment; blank lines are ignored. Every field is one
+ * whitespace-free token, numbers are an optional '-' and decimal
+ * digits, and a line with a token too many is malformed. A file may
+ * hold several blocks (readDdgFile).
  */
 
 #ifndef GPSCHED_GRAPH_TEXTIO_HH
@@ -20,6 +22,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/ddg.hh"
@@ -31,11 +34,17 @@ namespace gpsched
 /** Writes @p ddg in the text format. */
 void writeDdgText(std::ostream &os, const Ddg &ddg);
 
+/** True iff @p text can stand as one field of the text format (a
+ *  loop name or node label writeDdgText can round-trip): non-empty,
+ *  with no whitespace and no '#'. */
+bool isDdgTextToken(std::string_view text);
+
 /**
- * Parses one DDG. Malformed input throws CompileError (kind Parse,
- * support/compile_error.hh) so a batch front-end can report the bad
- * block and keep going; the loop name is attached once the `ddg`
- * header line has been seen.
+ * Parses one DDG and leaves @p is just past its `end` line (the
+ * stream is read a line at a time, never buffered whole). Malformed
+ * input throws CompileError (kind Parse, support/compile_error.hh)
+ * so a batch front-end can report the bad block and keep going; the
+ * loop name is attached once the `ddg` header line has been seen.
  */
 Ddg readDdgText(std::istream &is);
 
@@ -54,8 +63,9 @@ struct DdgBlock
  * Reads every `ddg ... end` block of @p is, skipping blank and
  * comment lines between blocks. A malformed block throws its
  * CompileError, or with @p keepGoing is recorded (with a warning)
- * and reading resumes at the next `ddg` line. Fatal when the stream
- * holds no block; @p source names it in diagnostics.
+ * and reading resumes at the next `ddg` line. The stream is never
+ * seeked, so it may be a pipe. Fatal when the stream holds no block;
+ * @p source names it in diagnostics.
  */
 std::vector<DdgBlock> readDdgBlocks(std::istream &is,
                                     const std::string &source,

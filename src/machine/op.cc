@@ -1,5 +1,7 @@
 #include "machine/op.hh"
 
+#include <string_view>
+
 #include "support/logging.hh"
 
 namespace gpsched
@@ -16,43 +18,43 @@ toString(FuClass cls)
     }
 }
 
+namespace
+{
+
+/** Mnemonics indexed by Opcode: the text format's spelling. */
+constexpr std::string_view kMnemonics[numOpcodes] = {
+    "ialu", "imul", "idiv", "fadd", "fmul", "fdiv", "load", "store",
+    "buscopy", "spillst", "spillld", "commst", "commld",
+};
+static_assert(!kMnemonics[numOpcodes - 1].empty(),
+              "every Opcode needs a mnemonic");
+
+} // namespace
+
 std::string
 toString(Opcode op)
 {
-    switch (op) {
-      case Opcode::IAlu:    return "ialu";
-      case Opcode::IMul:    return "imul";
-      case Opcode::IDiv:    return "idiv";
-      case Opcode::FAdd:    return "fadd";
-      case Opcode::FMul:    return "fmul";
-      case Opcode::FDiv:    return "fdiv";
-      case Opcode::Load:    return "load";
-      case Opcode::Store:   return "store";
-      case Opcode::BusCopy: return "buscopy";
-      case Opcode::SpillSt: return "spillst";
-      case Opcode::SpillLd: return "spillld";
-      case Opcode::CommSt:  return "commst";
-      case Opcode::CommLd:  return "commld";
-      default: GPSCHED_PANIC("bad Opcode ", static_cast<int>(op));
-    }
+    const int index = static_cast<int>(op);
+    if (index < 0 || index >= numOpcodes)
+        GPSCHED_PANIC("bad Opcode ", index);
+    return std::string(kMnemonics[index]);
 }
 
 Opcode
-opcodeFromString(const std::string &text)
+opcodeFromString(std::string_view text)
 {
-    Opcode op;
+    Opcode op = Opcode::IAlu;
     if (!opcodeFromString(text, op))
         GPSCHED_FATAL("unknown opcode mnemonic '", text, "'");
     return op;
 }
 
 bool
-opcodeFromString(const std::string &text, Opcode &op)
+opcodeFromString(std::string_view text, Opcode &op)
 {
     for (int i = 0; i < numOpcodes; ++i) {
-        Opcode candidate = static_cast<Opcode>(i);
-        if (toString(candidate) == text) {
-            op = candidate;
+        if (kMnemonics[i] == text) {
+            op = static_cast<Opcode>(i);
             return true;
         }
     }

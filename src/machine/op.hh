@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "support/logging.hh"
 
@@ -65,11 +66,11 @@ constexpr int numOpcodes = static_cast<int>(Opcode::NumOpcodes);
 std::string toString(Opcode op);
 
 /** Parses a mnemonic produced by toString(); fatal on unknown text. */
-Opcode opcodeFromString(const std::string &text);
+Opcode opcodeFromString(std::string_view text);
 
 /** Non-fatal parse: sets @p op and returns true iff @p text is a
  *  known mnemonic (for user-input paths that reject recoverably). */
-bool opcodeFromString(const std::string &text, Opcode &op);
+bool opcodeFromString(std::string_view text, Opcode &op);
 
 /** True for opcodes that may appear in an input (workload) DDG. */
 bool isProgramOpcode(Opcode op);

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "graph/textio.hh"
 #include "support/compile_error.hh"
 
 namespace gpsched
@@ -394,6 +395,10 @@ importLoop(JsonParser &p, const JsonValue &loopObj,
         if (nv->type != JsonValue::Type::String)
             p.fail(nv->line, "\"name\" must be a string");
         name = nv->text;
+        if (!isDdgTextToken(name))
+            p.fail(nv->line, "\"name\" must be one token (no "
+                             "whitespace or '#'), got \"" + name +
+                                 "\"");
     }
     p.setLoopName(name);
     Ddg g(name);
@@ -425,6 +430,12 @@ importLoop(JsonParser &p, const JsonValue &loopObj,
             if (lv->type != JsonValue::Type::String)
                 p.fail(lv->line, "\"label\" must be a string");
             label = lv->text;
+            // writeDdgText emits the label as one field; the text
+            // reader could not read it back otherwise.
+            if (!label.empty() && !isDdgTextToken(label))
+                p.fail(lv->line, "\"label\" must be one token (no "
+                                 "whitespace or '#'), got \"" +
+                                     label + "\"");
         }
         g.addNode(op, label);
         nodeLatency.push_back(static_cast<int>(

@@ -266,6 +266,19 @@ TEST(TextIoErrors, BadOpcodeAndBadEdgeShapesThrow)
         "ddg t 1\nnode ialu a\nnode ialu b\n"
         "edge 0 1 1 0 sideways\nend\n",             // unknown kind
         "ddg t 1\nwibble\nend\n",                   // unknown keyword
+        // Every field is one whole token, and a line holds no token
+        // past its last field.
+        "ddg t 10x\nend\n",                         // trip not a number
+        "ddg t 1 x\nend\n",                         // extra header token
+        "ddg t 1\nnode ialu a\nend x\n",             // extra end token
+        "ddg t 1\nnode ialu a b c\nend\n",           // extra node tokens
+        "ddg t 1\nnode ialu a\nnode ialu b\n"
+        "edge 0 1 1 0flow\nend\n",                  // glued kind
+        "ddg t 1\nnode ialu a\nnode ialu b\n"
+        "edge 0 1 1 0 flow junk\nend\n",            // extra edge token
+        "ddg t 1\nnode ialu a\nnode ialu b\n"
+        "edge 0 1 1 +0\nend\n",                     // '+' sign
+        "ddg t 1\nnode ialu a\nddg u 1\nend\n",     // block not ended
     };
     for (const char *text : cases) {
         std::istringstream iss(text);

@@ -231,6 +231,27 @@ TEST(Import, RejectsBadOpcodesKindsAndShapes)
                  "out of range");
 }
 
+TEST(Import, RejectsNamesAndLabelsTheTextFormatCannotHold)
+{
+    // writeDdgText emits names and labels as single fields.
+    expectReject(R"({"name": "l", "nodes": [{"op": "ialu",
+                                            "label": "a b"}]})",
+                 "\"label\" must be one token");
+    expectReject(R"({"name": "l", "nodes": [{"op": "ialu",
+                                            "label": "a#b"}]})",
+                 "\"label\" must be one token");
+    expectReject(R"({"name": "my loop", "nodes": [{"op": "ialu"}]})",
+                 "\"name\" must be one token");
+    expectReject(R"({"name": "", "nodes": [{"op": "ialu"}]})",
+                 "\"name\" must be one token");
+    // An empty label still means "auto-label".
+    EXPECT_EQ(importText(R"({"nodes": [{"op": "ialu", "label": ""}]})")
+                  .front()
+                  .node(0)
+                  .label,
+              "ialu0");
+}
+
 TEST(Import, RejectsStructurallyEmptyDocuments)
 {
     expectReject(R"({"name": "l"})",

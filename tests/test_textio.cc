@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "graph/textio.hh"
 #include "support/compile_error.hh"
 #include "support/random.hh"
+#include "workload/fuzz.hh"
 #include "workload/loop_shapes.hh"
 
 using namespace gpsched;
@@ -152,6 +156,93 @@ TEST(TextIoBlocks, StrictReadThrowsAndAnEmptyStreamIsFatal)
     EXPECT_EXIT(readDdgBlocks(empty, "empty.ddg", true),
                 testing::ExitedWithCode(1),
                 "no DDGs found in 'empty.ddg'");
+}
+
+// Parity of the stream readers over a fuzz corpus (`ddg_fuzz gen
+// --seed 1 --count 500`): round trips are exact, and reading block by
+// block with a tellg/seekg peek between blocks (the benchmark's
+// set-up loop does this) leaves the stream exactly where the next
+// block starts, giving the same graphs as readDdgBlocks.
+TEST(TextIoParity, FuzzCorpusReadsTheSameEveryWay)
+{
+    constexpr int kLoops = 500;
+    LatencyTable lat;
+    const std::string path = testing::TempDir() + "textio_parity.ddg";
+    {
+        std::ofstream out(path);
+        fuzz::writeCorpus(out, 1, kLoops, lat);
+    }
+
+    std::vector<DdgBlock> blocks = readDdgFile(path, false);
+    ASSERT_EQ(blocks.size(), static_cast<std::size_t>(kLoops));
+    for (int i = 0; i < kLoops; ++i) {
+        SCOPED_TRACE("loop " + std::to_string(i));
+        const Ddg &g = blocks[i].ddg;
+        expectSameGraph(fuzz::corpusCase(1, i, lat).ddg, g);
+        expectSameGraph(g, fromText(toText(g)));
+    }
+
+    std::ifstream in(path);
+    int read = 0;
+    for (;;) {
+        std::string line;
+        std::streampos before = in.tellg();
+        bool content = false;
+        while (std::getline(in, line)) {
+            line.erase(std::min(line.find('#'), line.size()));
+            if (line.find_first_not_of(" \t\r") != std::string::npos) {
+                content = true;
+                break;
+            }
+            before = in.tellg();
+        }
+        if (!content)
+            break;
+        in.seekg(before);
+        ASSERT_LT(read, kLoops);
+        SCOPED_TRACE("peeked loop " + std::to_string(read));
+        expectSameGraph(blocks[read].ddg, readDdgText(in));
+        ++read;
+    }
+    EXPECT_EQ(read, kLoops);
+    std::remove(path.c_str());
+}
+
+TEST(TextIoBlocks, KeepGoingResumesAtTheNextHeaderOnAPipe)
+{
+    // A non-seekable stream: readDdgBlocks never seeks. A block
+    // without `end` fails, and its successor still parses.
+    std::stringbuf buf("ddg ok 4\nnode ialu a\nend\n"
+                       "ddg bad 4\nnode ialu a\nedge 0 1 1 0\n"
+                       "node ialu b\nend\n"
+                       "# between blocks\n"
+                       "ddg open 4\nnode ialu a\n"
+                       "ddg ok2 4\nnode ialu a\nend\n");
+    struct NoSeek : std::streambuf
+    {
+        explicit NoSeek(std::streambuf &src) : src_(src) {}
+        int_type underflow() override
+        {
+            int_type c = src_.sgetc();
+            if (c != traits_type::eof()) {
+                ch_ = traits_type::to_char_type(src_.sbumpc());
+                setg(&ch_, &ch_, &ch_ + 1);
+            }
+            return c;
+        }
+        std::streambuf &src_;
+        char ch_ = 0;
+    } pipe(buf);
+    std::istream is(&pipe);
+    std::vector<DdgBlock> blocks = readDdgBlocks(is, "pipe", true);
+    ASSERT_EQ(blocks.size(), 4u);
+    EXPECT_TRUE(blocks[0].parsed());
+    EXPECT_FALSE(blocks[1].parsed());
+    EXPECT_EQ(blocks[1].parseError->loopName(), "bad");
+    EXPECT_FALSE(blocks[2].parsed());
+    EXPECT_EQ(blocks[2].parseError->loopName(), "open");
+    EXPECT_TRUE(blocks[3].parsed());
+    EXPECT_EQ(blocks[3].ddg.name(), "ok2");
 }
 
 TEST(DotGolden, NamesEveryNodeAndEdge)

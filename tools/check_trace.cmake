@@ -2,7 +2,9 @@
 # trace-event files with check_trace.py (after running the validator's
 # own self-test, so a broken checker cannot vacuously pass). Uses
 # --jobs 4 to get genuinely concurrent compile spans across worker
-# tids, plus a --cache-dir so cache-probe/disk-IO spans appear too.
+# tids, plus a --cache-dir so cache-probe/disk-IO spans appear too,
+# and --simulate so the CLI's own stage spans (cli.parse, cli.check,
+# cli.report) are all required.
 #
 # Variables: CLI (gpsched_cli path), DDG (input file), PYTHON
 # (interpreter), CHECK (check_trace.py path), OUT (trace output path
@@ -35,7 +37,7 @@ foreach(run cold warm)
   set(trace_file "${OUT}.${run}.json")
   file(REMOVE "${trace_file}")
   execute_process(
-    COMMAND ${CLI} --scheme all --jobs 4 --repeat 2
+    COMMAND ${CLI} --scheme all --jobs 4 --repeat 2 --simulate
             --cache-dir ${CACHE} --trace ${trace_file} --json -
             ${DDG}
     RESULT_VARIABLE status
@@ -48,7 +50,8 @@ foreach(run cold warm)
   endif()
 
   execute_process(
-    COMMAND ${PYTHON} ${CHECK} ${trace_file}
+    COMMAND ${PYTHON} ${CHECK} --require cli.parse --require cli.check
+            --require cli.report ${trace_file}
     RESULT_VARIABLE status
     OUTPUT_VARIABLE out_text
     ERROR_VARIABLE err

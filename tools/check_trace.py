@@ -12,10 +12,12 @@ Checks, in order:
   4. per (pid, tid), "X" (complete) events nest properly: a span
      starting inside another must end inside it too (queue-wait is
      emitted as async "b"/"e" precisely because it may not nest);
-  5. async "b"/"e" pairs balance per (cat, id).
+  5. async "b"/"e" pairs balance per (cat, id);
+  6. every name given with --require has at least one "X" event.
 
 Usage:
-  check_trace.py TRACE.json        validate a trace file
+  check_trace.py [--require NAME]... TRACE.json
+                                   validate a trace file
   check_trace.py --self-test       run the embedded pass/fail samples
 
 Exit status 0 on a valid trace, 1 on any violation (messages on
@@ -32,8 +34,9 @@ def fail(msg):
     return ["check_trace: " + msg]
 
 
-def validate(root):
-    """Returns a list of error strings; empty means valid."""
+def validate(root, required=()):
+    """Returns a list of error strings; empty means valid. Each name
+    in `required` must have at least one complete ("X") event."""
     errors = []
     if not isinstance(root, dict):
         return fail("top level must be an object, got %s" %
@@ -114,17 +117,22 @@ def validate(root):
         if balance > 0:
             errors += fail("async begin without end (cat %r id %r)" %
                            (cat, pair_id))
+    complete = {event.get("name") for event in events
+                if isinstance(event, dict) and event.get("ph") == "X"}
+    for name in required:
+        if name not in complete:
+            errors += fail("no complete event named %r" % name)
     return errors
 
 
-def check_file(path):
+def check_file(path, required):
     try:
         with open(path) as fh:
             root = json.load(fh)
     except (OSError, ValueError) as err:
         print("check_trace: %s: %s" % (path, err), file=sys.stderr)
         return 1
-    errors = validate(root)
+    errors = validate(root, required)
     if errors:
         for error in errors:
             print(error, file=sys.stderr)
@@ -185,6 +193,14 @@ def self_test():
         print("self-test: malformed top level must fail",
               file=sys.stderr)
         ok = False
+    spans = {"traceEvents": [ev("X", "cli.parse", 0, 5),
+                             ev("b", "cli.check", 6, eid=2, cat="q"),
+                             ev("e", "cli.check", 7, eid=2, cat="q")]}
+    if validate(spans, ["cli.parse"]) or \
+            not validate(spans, ["cli.parse", "cli.check"]):
+        print("self-test: --require must accept only complete events",
+              file=sys.stderr)
+        ok = False
     print("self-test: %s" % ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 
@@ -192,10 +208,15 @@ def self_test():
 def main(argv):
     if len(argv) == 2 and argv[1] == "--self-test":
         return self_test()
-    if len(argv) != 2:
+    args = argv[1:]
+    required = []
+    while len(args) >= 2 and args[0] == "--require":
+        required.append(args[1])
+        args = args[2:]
+    if len(args) != 1 or args[0].startswith("--"):
         print(__doc__, file=sys.stderr)
         return 2
-    return check_file(argv[1])
+    return check_file(args[0], required)
 
 
 if __name__ == "__main__":

@@ -14,11 +14,13 @@
  * --keep-going turns each malformed or rejected loop into an error
  * object in the report; without it the first failing loop ends the
  * run with a fatal file:line diagnostic. --simulate holds every
- * compiled loop to the record contract (sim::checkRecord). Exit
- * status is 2 on a usage error, otherwise nonzero iff a loop or a
- * record check failed.
+ * compiled loop to the record contract (sim::checkRecord), on the
+ * engine's pool. Exit status is 2 on a usage error, otherwise
+ * nonzero iff a loop or a record check failed. With --trace, the
+ * serial stages are cli.parse / cli.check / cli.report spans.
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -35,6 +37,7 @@
 #include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/trace.hh"
 
 using namespace gpsched;
 
@@ -103,6 +106,28 @@ parseArgs(int argc, char **argv)
     if (options.files.empty())
         flags.fail("no input files");
     return options;
+}
+
+/**
+ * Records [@p startNanos, @p endNanos) as the complete event @p name
+ * on the calling (main) thread under the engine's trace pid; no-op
+ * without --trace. The CLI's serial stages (parse, the --simulate
+ * check pass, report emission) are spanned this way.
+ */
+void
+traceStage(TraceSink *sink, const Engine &engine, const char *name,
+           std::uint64_t startNanos, std::uint64_t endNanos)
+{
+    if (sink == nullptr)
+        return;
+    TraceEvent event;
+    event.name = name;
+    event.cat = "cli";
+    event.pid = engine.tracePid();
+    event.tid = traceThreadId();
+    event.tsNanos = startNanos;
+    event.durNanos = endNanos - startNanos;
+    sink->complete(std::move(event));
 }
 
 /** The report's error-object schema: kind, message, location. */
@@ -251,11 +276,13 @@ run(int argc, char **argv)
     CliOptions options = parseArgs(argc, argv);
     MachineConfig machine =
         MachineRegistry::builtin().resolve(options.machine);
+    const std::uint64_t parseStart = traceNowNanos();
     std::vector<DdgBlock> inputs;
     for (const std::string &path : options.files) {
         for (DdgBlock &block : readDdgFile(path, options.keepGoing))
             inputs.push_back(std::move(block));
     }
+    const std::uint64_t parseEnd = traceNowNanos();
 
     // Telemetry destinations outlive the engine (required: worker
     // threads write into them until the engine is destroyed).
@@ -273,6 +300,8 @@ run(int argc, char **argv)
         engineOptions.collectPhases = true;
     }
     Engine engine(engineOptions);
+    TraceSink *sink = engineOptions.trace;
+    traceStage(sink, engine, "cli.parse", parseStart, parseEnd);
 
     std::vector<EngineJob> batch;
     batch.reserve(options.schemes.size() * inputs.size());
@@ -295,23 +324,29 @@ run(int argc, char **argv)
     // --simulate: hold every successfully compiled loop to the
     // record contract; the verdicts ride on the report rows
     // (parallel to results, error rows keep their error object
-    // untouched).
+    // untouched). The checks run on the engine's pool, each filling
+    // its own slot; failures are reported afterwards in index
+    // order, so the output does not depend on --jobs.
     std::vector<std::optional<sim::RecordCheck>> checks(
         results.size());
     bool simFailed = false;
     if (options.simulate) {
+        const std::uint64_t checkStart = traceNowNanos();
+        engine.runIndexed(results.size(), [&](std::size_t i) {
+            if (results[i].ok())
+                checks[i] = sim::checkRecord(*batch[i].loop, machine,
+                                             results[i].loop);
+        });
+        traceStage(sink, engine, "cli.check", checkStart,
+                   traceNowNanos());
         for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!results[i].ok())
+            if (!checks[i].has_value() || checks[i]->ok())
                 continue;
-            checks[i] = sim::checkRecord(*batch[i].loop, machine,
-                                         results[i].loop);
-            if (!checks[i]->ok()) {
-                simFailed = true;
-                GPSCHED_WARN("record check of loop '",
-                             results[i].loop.loopName, "' failed: ",
-                             sim::toString(checks[i]->verdict), ": ",
-                             checks[i]->detail);
-            }
+            simFailed = true;
+            GPSCHED_WARN("record check of loop '",
+                         results[i].loop.loopName, "' failed: ",
+                         sim::toString(checks[i]->verdict), ": ",
+                         checks[i]->detail);
         }
     }
 
@@ -328,6 +363,7 @@ run(int argc, char **argv)
         }
     }
 
+    const std::uint64_t reportStart = traceNowNanos();
     if (options.jsonPath == "-") {
         writeReport(std::cout, options, machine, inputs,
                     results, checks, engine);
@@ -339,6 +375,8 @@ run(int argc, char **argv)
         writeReport(out, options, machine, inputs, results,
                     checks, engine);
     }
+    traceStage(sink, engine, "cli.report", reportStart,
+               traceNowNanos());
 
     if (!options.statsJsonPath.empty()) {
         engine.exportStats(registry);
