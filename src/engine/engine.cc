@@ -1,5 +1,9 @@
 #include "engine/engine.hh"
 
+#include <condition_variable>
+#include <exception>
+#include <limits>
+
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/timer.hh"
@@ -169,20 +173,9 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
     // no sink is configured.
     auto probeSpan = [&](const char *name, const char *cat,
                          auto &&probe) {
-        TraceSink *sink = options_.trace;
-        if (sink == nullptr)
-            return probe();
-        std::uint64_t wall0 = traceNowNanos();
-        bool hit = probe();
-        TraceEvent event;
-        event.name = name;
-        event.cat = cat;
-        event.pid = pid_;
-        event.tid = traceThreadId();
-        event.tsNanos = wall0;
-        event.durNanos = traceNowNanos() - wall0;
-        event.args.emplace_back("hit", hit ? "true" : "false");
-        sink->complete(std::move(event));
+        TraceSpan span(options_.trace, pid_, name, cat);
+        const bool hit = probe();
+        span.arg("hit", hit ? "true" : "false");
         return hit;
     };
 
@@ -205,8 +198,13 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
         }
     }
 
-    LoopKey key =
-        makeLoopKey(*job.loop, *job.machine, job.kind, job.options);
+    LoopKey key;
+    {
+        TraceSpan span(options_.trace, pid_, "loop-key", "cache");
+        span.arg("loop", job.loop->name());
+        key = makeLoopKey(*job.loop, *job.machine, job.kind,
+                          job.options);
+    }
     CompiledLoop result;
     if (probeSpan("cache-probe", "cache",
                   [&] { return cache_.lookup(key, result); })) {
@@ -321,21 +319,100 @@ Engine::compileOne(const EngineJob &job)
 }
 
 void
-Engine::runIndexed(std::size_t count,
-                   const std::function<void(std::size_t)> &task)
+Engine::runWindowed(const std::function<bool(std::size_t)> &produce,
+                    const std::function<void(std::size_t)> &task,
+                    const std::function<void(std::size_t)> &retire)
 {
-    for (std::size_t i = 0; i < count; ++i)
-        pool_.submit([&task, i] { task(i); });
+    // What each live item's task left, indexed like the caller's
+    // slots; `item` names the item that finished there, so a slot
+    // needs no reset. Workers write it under the mutex and the
+    // calling thread reads it there, which orders a task's writes
+    // before its retire().
+    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+    struct Finished
+    {
+        std::size_t item = kNone;
+        std::exception_ptr error;
+    };
+    const std::size_t width = window();
+    std::vector<Finished> slots(width);
+    std::mutex mutex;
+    std::condition_variable retirable;
+    // The oldest live item while the calling thread sleeps on it, else
+    // kNone; guarded by the mutex. Only that item's task wakes the
+    // caller: a wake per finished item would preempt a busy worker
+    // for nothing.
+    std::size_t awaited = kNone;
+    std::size_t produced = 0;
+    std::size_t retired = 0;
+    auto isDone = [&](std::size_t i) {
+        return slots[i % width].item == i;
+    };
+    bool inputLeft = true;
+    std::exception_ptr inputError;
+    try {
+        for (;;) {
+            while (inputLeft && produced - retired < width) {
+                try {
+                    inputLeft = produce(produced);
+                } catch (...) {
+                    inputLeft = false;
+                    inputError = std::current_exception();
+                }
+                if (!inputLeft)
+                    break;
+                const std::size_t i = produced++;
+                pool_.submit([&, i] {
+                    std::exception_ptr error;
+                    try {
+                        task(i);
+                    } catch (...) {
+                        error = std::current_exception();
+                    }
+                    std::lock_guard<std::mutex> lock(mutex);
+                    slots[i % width] = Finished{i, error};
+                    if (i == awaited)
+                        retirable.notify_one();
+                });
+            }
+            if (retired == produced)
+                break;
+            // Wait for the oldest item, then retire the finished run
+            // at the head.
+            std::size_t ready = 0;
+            {
+                std::unique_lock<std::mutex> lock(mutex);
+                awaited = retired;
+                retirable.wait(lock, [&] { return isDone(retired); });
+                awaited = kNone;
+                while (retired + ready < produced &&
+                       isDone(retired + ready))
+                    ++ready;
+            }
+            for (; ready > 0; --ready) {
+                if (slots[retired % width].error)
+                    std::rethrow_exception(slots[retired % width].error);
+                retire(retired++);
+            }
+        }
+    } catch (...) {
+        // Tasks still running reference this frame; let them finish.
+        pool_.wait();
+        throw;
+    }
+    // Every task has signalled; wait() also covers its last unlock.
     pool_.wait();
+    if (inputError)
+        std::rethrow_exception(inputError);
 }
 
 std::vector<CompileResult>
 Engine::compileBatch(const std::vector<EngineJob> &batch)
 {
     std::vector<CompileResult> results(batch.size());
-    runIndexed(batch.size(), [&](std::size_t i) {
-        results[i] = runJob(batch[i]);
-    });
+    runWindowed([&](std::size_t i) { return i < batch.size(); },
+                [&](std::size_t i) { results[i] = runJob(batch[i]); },
+                [](std::size_t) {});
     return results;
 }
 

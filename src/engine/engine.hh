@@ -229,10 +229,10 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     /**
-     * Compiles every job of @p batch concurrently and returns the
-     * per-job results in submission order. A failed job yields a
-     * diagnostic CompileResult in its slot; the batch always runs
-     * to completion.
+     * Compiles every job of @p batch concurrently (runWindowed) and
+     * returns the per-job results in submission order. A failed job
+     * yields a diagnostic CompileResult in its slot; the batch
+     * always runs to completion.
      */
     std::vector<CompileResult> compileBatch(
         const std::vector<EngineJob> &batch);
@@ -241,17 +241,39 @@ class Engine
     CompileResult compileOne(const EngineJob &job);
 
     /**
-     * Runs @p task(i) for every i in [0, @p count) on the worker
-     * pool and returns once all have finished; at 1 job the tasks
-     * run inline, in index order. A task should write only its own
-     * index's output, so results do not depend on the job count.
-     * The first exception a task throws is rethrown here.
+     * Streams items 0, 1, 2, ... through the worker pool with at
+     * most window() of them live at once. On the calling thread,
+     * @p produce(i) fills the caller's slot i % window() and returns
+     * false at the end of the input; it is called only once item
+     * i - window() has retired. @p task(i) then runs on the pool (at
+     * 1 job inline, in index order), and @p retire(i) runs on the
+     * calling thread once task(i) has finished, strictly in index
+     * order. There is no barrier: once the oldest item has finished,
+     * the calling thread retires the finished run at the head and
+     * refills, while the workers go on with the rest. A task should
+     * write only its own slot, so the results do not depend on the
+     * job count.
+     *
+     * Exceptions surface in index order, after every task still
+     * running has finished: a throwing task(i) is rethrown in place
+     * of retire(i); a throwing retire(i) ends the stream; a throwing
+     * produce(i) is rethrown once items 0..i-1 have retired (so an
+     * earlier item's exception takes precedence).
      */
-    void runIndexed(std::size_t count,
-                    const std::function<void(std::size_t)> &task);
+    void runWindowed(const std::function<bool(std::size_t)> &produce,
+                     const std::function<void(std::size_t)> &task,
+                     const std::function<void(std::size_t)> &retire);
 
     /** Effective worker count (>= 1). */
     int jobs() const { return jobs_; }
+
+    /** Most items runWindowed holds live: a fixed multiple of
+     *  jobs(), wide enough that a compile 70x the mean does not
+     *  leave the other workers waiting on retirement. */
+    std::size_t window() const
+    {
+        return kWindowPerJob * static_cast<std::size_t>(jobs_);
+    }
 
     /** Lifetime counters. */
     EngineStats stats() const;
@@ -293,6 +315,8 @@ class Engine
     void clearCache() { cache_.clear(); }
 
   private:
+    static constexpr std::size_t kWindowPerJob = 256;
+
     CompileResult runJob(const EngineJob &job);
     CompileResult runJobImpl(const EngineJob &job,
                              CompileSource &source,

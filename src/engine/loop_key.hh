@@ -62,15 +62,4 @@ std::uint64_t fnv1a64(const std::string &bytes);
 
 } // namespace gpsched
 
-namespace std
-{
-template <> struct hash<gpsched::LoopKey>
-{
-    std::size_t operator()(const gpsched::LoopKey &key) const
-    {
-        return static_cast<std::size_t>(key.digest);
-    }
-};
-} // namespace std
-
 #endif // GPSCHED_ENGINE_LOOP_KEY_HH

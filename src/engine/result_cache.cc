@@ -38,7 +38,7 @@ ResultCache::lookup(const LoopKey &key, CompiledLoop &out)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
+    auto it = shard.index.find(&key);
     if (it == shard.index.end()) {
         ++shard.stats.misses;
         return false;
@@ -54,19 +54,19 @@ ResultCache::insert(const LoopKey &key, const CompiledLoop &value)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
+    auto it = shard.index.find(&key);
     if (it != shard.index.end()) {
         it->second->value = value;
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         return;
     }
     if (shard.lru.size() >= capacityPerShard_) {
-        shard.index.erase(shard.lru.back().key);
+        shard.index.erase(&shard.lru.back().key);
         shard.lru.pop_back();
         ++shard.stats.evictions;
     }
     shard.lru.push_front(Entry{key, value});
-    shard.index.emplace(key, shard.lru.begin());
+    shard.index.emplace(&shard.lru.front().key, shard.lru.begin());
     ++shard.stats.insertions;
 }
 
@@ -75,8 +75,8 @@ ResultCache::clear()
 {
     for (auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->lru.clear();
         shard->index.clear();
+        shard->lru.clear();
     }
 }
 

@@ -90,12 +90,32 @@ class ResultCache
         CompiledLoop value;
     };
 
+    /** Index keys point at the key inside their own LRU entry (list
+     *  nodes never move), so each canonical string is stored once.
+     *  Hashing is by digest; equality compares the full key. */
+    struct KeyHash
+    {
+        std::size_t operator()(const LoopKey *key) const
+        {
+            return static_cast<std::size_t>(key->digest);
+        }
+    };
+    struct KeyEqual
+    {
+        bool operator()(const LoopKey *a, const LoopKey *b) const
+        {
+            return *a == *b;
+        }
+    };
+
     /** One lock stripe: an LRU list plus an index into it. */
     struct Shard
     {
         mutable std::mutex mutex;
         std::list<Entry> lru; ///< front = most recently used
-        std::unordered_map<LoopKey, std::list<Entry>::iterator> index;
+        std::unordered_map<const LoopKey *, std::list<Entry>::iterator,
+                           KeyHash, KeyEqual>
+            index;
         CacheStats stats;
     };
 

@@ -248,46 +248,91 @@ readDdgText(std::istream &is)
     return parseBlock(lines);
 }
 
+struct DdgBlockReader::State
+{
+    State(std::istream &is, std::string name, bool skipBad)
+        : lines(is), source(std::move(name)), keepGoing(skipBad)
+    {
+    }
+
+    LineReader lines;
+    std::string source;
+    bool keepGoing;
+};
+
+DdgBlockReader::DdgBlockReader(std::istream &is, std::string source,
+                               bool keepGoing)
+    : state_(std::make_unique<State>(is, std::move(source), keepGoing))
+{
+}
+
+DdgBlockReader::~DdgBlockReader() = default;
+
+bool
+DdgBlockReader::next(DdgBlock &block)
+{
+    LineReader &lines = state_->lines;
+    if (!lines.next())
+        return false;
+    lines.hold();
+    block.source = state_->source;
+    block.parseError.reset();
+    try {
+        block.ddg = parseBlock(lines);
+    } catch (const CompileError &error) {
+        if (!state_->keepGoing)
+            throw;
+        block.ddg = Ddg();
+        block.parseError = error;
+        // Resume at the next `ddg` line: the one after the failing
+        // line, or the failing line itself when it is the header
+        // that cut the block short (parseBlock held it).
+        while (lines.next()) {
+            if (lines.tokens().at[0] == "ddg") {
+                lines.hold();
+                break;
+            }
+        }
+    }
+    return true;
+}
+
+void
+warnSkippedBlock(const DdgBlock &block)
+{
+    GPSCHED_WARN("skipping malformed DDG block in '", block.source,
+                 "': ", block.parseError->what());
+}
+
 std::vector<DdgBlock>
 readDdgBlocks(std::istream &is, const std::string &source,
               bool keepGoing)
 {
-    LineReader lines(is);
+    DdgBlockReader reader(is, source, keepGoing);
     std::vector<DdgBlock> blocks;
-    while (lines.next()) {
-        lines.hold();
-        DdgBlock &block = blocks.emplace_back();
-        block.source = source;
-        try {
-            block.ddg = parseBlock(lines);
-        } catch (const CompileError &error) {
-            if (!keepGoing)
-                throw;
-            GPSCHED_WARN("skipping malformed DDG block in '", source,
-                         "': ", error.what());
-            block.parseError = error;
-            // Resume at the next `ddg` line: the one after the
-            // failing line, or the failing line itself when it is the
-            // header that cut the block short (parseBlock held it).
-            while (lines.next()) {
-                if (lines.tokens().at[0] == "ddg") {
-                    lines.hold();
-                    break;
-                }
-            }
-        }
+    for (DdgBlock block; reader.next(block);) {
+        if (!block.parsed())
+            warnSkippedBlock(block);
+        blocks.push_back(std::move(block));
     }
     if (blocks.empty())
         GPSCHED_FATAL("no DDGs found in '", source, "'");
     return blocks;
 }
 
-std::vector<DdgBlock>
-readDdgFile(const std::string &path, bool keepGoing)
+std::ifstream
+openDdgFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         GPSCHED_FATAL("cannot open DDG file '", path, "'");
+    return in;
+}
+
+std::vector<DdgBlock>
+readDdgFile(const std::string &path, bool keepGoing)
+{
+    std::ifstream in = openDdgFile(path);
     return readDdgBlocks(in, path, keepGoing);
 }
 

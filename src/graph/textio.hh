@@ -18,7 +18,9 @@
 #ifndef GPSCHED_GRAPH_TEXTIO_HH
 #define GPSCHED_GRAPH_TEXTIO_HH
 
+#include <fstream>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -60,16 +62,51 @@ struct DdgBlock
 };
 
 /**
- * Reads every `ddg ... end` block of @p is, skipping blank and
- * comment lines between blocks. A malformed block throws its
- * CompileError, or with @p keepGoing is recorded (with a warning)
- * and reading resumes at the next `ddg` line. The stream is never
- * seeked, so it may be a pipe. Fatal when the stream holds no block;
- * @p source names it in diagnostics.
+ * Pull-style reader of a multi-DDG stream: each next() parses the
+ * following `ddg ... end` block, skipping blank and comment lines
+ * between blocks, so a caller holds one block at a time. The stream
+ * is never seeked, so it may be a pipe.
+ */
+class DdgBlockReader
+{
+  public:
+    /** Reads @p is, which must outlive the reader; @p source names
+     *  it in the blocks and in diagnostics. */
+    DdgBlockReader(std::istream &is, std::string source,
+                   bool keepGoing);
+    ~DdgBlockReader();
+
+    DdgBlockReader(const DdgBlockReader &) = delete;
+    DdgBlockReader &operator=(const DdgBlockReader &) = delete;
+
+    /**
+     * Parses the next block into @p block and returns true; false
+     * at the end of the stream. A malformed block throws its
+     * CompileError, or with keepGoing comes back with parseError
+     * set (no warning: the caller decides) and reading resumes at
+     * the next `ddg` line.
+     */
+    bool next(DdgBlock &block);
+
+  private:
+    struct State;
+    std::unique_ptr<State> state_;
+};
+
+/** Warns that the malformed @p block (parseError set) is skipped. */
+void warnSkippedBlock(const DdgBlock &block);
+
+/**
+ * Every block of @p is through DdgBlockReader; with @p keepGoing a
+ * malformed block is recorded with warnSkippedBlock. Fatal when the
+ * stream holds no block.
  */
 std::vector<DdgBlock> readDdgBlocks(std::istream &is,
                                     const std::string &source,
                                     bool keepGoing);
+
+/** Opens the DDG file at @p path; fatal if unreadable. */
+std::ifstream openDdgFile(const std::string &path);
 
 /** readDdgBlocks over the file at @p path; fatal if unreadable. */
 std::vector<DdgBlock> readDdgFile(const std::string &path,

@@ -98,18 +98,19 @@ RunningStat::sum() const
     return sum_;
 }
 
-Histogram::Histogram(double lowest, double growth, std::size_t buckets)
+Histogram::Histogram(double lowest, std::size_t octaves)
 {
     GPSCHED_ASSERT(lowest > 0.0, "Histogram needs lowest bound > 0");
-    GPSCHED_ASSERT(growth > 1.0, "Histogram needs growth > 1");
-    GPSCHED_ASSERT(buckets >= 1, "Histogram needs >= 1 bucket");
-    bounds_.reserve(buckets);
-    double bound = lowest;
-    for (std::size_t i = 0; i < buckets; ++i) {
-        bounds_.push_back(bound);
-        bound *= growth;
+    GPSCHED_ASSERT(octaves >= 1, "Histogram needs >= 1 octave");
+    bounds_.reserve(1 + octaves * kSubBuckets);
+    bounds_.push_back(lowest);
+    double base = lowest;
+    for (std::size_t k = 0; k < octaves; ++k, base *= 2.0) {
+        for (std::size_t j = 1; j <= kSubBuckets; ++j)
+            bounds_.push_back(base + base * static_cast<double>(j) /
+                                         static_cast<double>(kSubBuckets));
     }
-    counts_.assign(buckets + 1, 0);
+    counts_.assign(bounds_.size() + 1, 0);
 }
 
 Histogram::Histogram(const Histogram &other)

@@ -59,31 +59,36 @@ class RunningStat
 };
 
 /**
- * Thread-safe fixed-bucket histogram with log-spaced bucket bounds.
+ * Thread-safe fixed-bucket histogram with log-linear bucket bounds.
  *
  * Companion to RunningStat for when a mean hides the story (task wait
  * times, compile latencies): tracks count/sum/min/max exactly and
  * approximates percentiles from the bucket counts. Bucket bounds are
- * fixed at construction — bucket i covers values <= lowest*growth^i,
- * with a final catch-all bucket — so concurrent add() never
- * reallocates and the type stays copyable like RunningStat.
+ * fixed at construction, so concurrent add() never reallocates and
+ * the type stays copyable like RunningStat. The first bucket covers
+ * values <= lowest; above it every octave (lowest*2^(k-1),
+ * lowest*2^k] is split into kSubBuckets equal-width buckets, and a
+ * final catch-all bucket takes what lies past the last octave.
  *
  * Percentile queries return the upper bound of the first bucket whose
  * cumulative count reaches the rank, clamped to the observed
- * [min, max]; with growth 2 the estimate is within 2x of the true
- * value, which is plenty for p50/p95 dashboards.
+ * [min, max]. A bucket's upper bound is at most 1 + 1/kSubBuckets
+ * times its lower bound, so between lowest and the last octave the
+ * estimate is never below the exact order statistic and at most
+ * 12.5% above it: fine enough to gate on.
  */
 class Histogram
 {
   public:
+    /** Linear sub-buckets per octave. */
+    static constexpr std::size_t kSubBuckets = 8;
+
     /**
      * @param lowest Upper bound of the first bucket (must be > 0).
-     * @param growth Bound multiplier between buckets (must be > 1).
-     * @param buckets Number of bounded buckets (>= 1); one unbounded
-     *        overflow bucket is added on top.
+     * @param octaves Octaves above it (>= 1); one unbounded overflow
+     *        bucket is added on top.
      */
-    explicit Histogram(double lowest = 1e-6, double growth = 2.0,
-                       std::size_t buckets = 48);
+    explicit Histogram(double lowest = 1e-6, std::size_t octaves = 48);
     Histogram(const Histogram &other);
     Histogram &operator=(const Histogram &other);
 
@@ -113,6 +118,9 @@ class Histogram
 
     /** Approximate 95th percentile. */
     double p95() const { return quantile(0.95); }
+
+    /** Approximate 99th percentile. */
+    double p99() const { return quantile(0.99); }
 
     /** One bucket's inclusive upper bound and its sample count. */
     struct Bucket

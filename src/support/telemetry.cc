@@ -127,12 +127,12 @@ MetricRegistry::gauge(const std::string &name)
 
 Histogram &
 MetricRegistry::histogram(const std::string &name, double lowest,
-                          double growth, std::size_t buckets)
+                          std::size_t octaves)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto &slot = histograms_[name];
     if (!slot)
-        slot = std::make_unique<Histogram>(lowest, growth, buckets);
+        slot = std::make_unique<Histogram>(lowest, octaves);
     return *slot;
 }
 
@@ -162,6 +162,7 @@ MetricRegistry::writeJson(std::ostream &os) const
         json.member("max", h.max());
         json.member("p50", h.p50());
         json.member("p95", h.p95());
+        json.member("p99", h.p99());
         json.beginArray("buckets");
         for (const Histogram::Bucket &bucket : h.buckets()) {
             if (bucket.count == 0)

@@ -229,12 +229,11 @@ class MetricRegistry
     Gauge &gauge(const std::string &name);
     /** Bucket shape is fixed by the first caller for a given name. */
     Histogram &histogram(const std::string &name, double lowest = 1.0,
-                         double growth = 2.0,
-                         std::size_t buckets = 32);
+                         std::size_t octaves = 32);
 
     /**
      * Dumps `{"counters": {...}, "gauges": {...},
-     * "histograms": {name: {count,sum,mean,min,max,p50,p95,
+     * "histograms": {name: {count,sum,mean,min,max,p50,p95,p99,
      * buckets:[{le,count}...]}}}`, names sorted, zero-count
      * histogram buckets omitted.
      */

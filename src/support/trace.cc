@@ -149,4 +149,32 @@ traceNextPairId()
     return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+TraceSpan::TraceSpan(TraceSink *sink, std::uint32_t pid,
+                     const char *name, const char *cat)
+    : sink_(sink)
+{
+    if (sink_ == nullptr)
+        return;
+    event_.name = name;
+    event_.cat = cat;
+    event_.pid = pid;
+    event_.tid = traceThreadId();
+    event_.tsNanos = traceNowNanos();
+}
+
+TraceSpan::~TraceSpan()
+{
+    if (sink_ == nullptr)
+        return;
+    event_.durNanos = traceNowNanos() - event_.tsNanos;
+    sink_->complete(std::move(event_));
+}
+
+void
+TraceSpan::arg(const char *key, const std::string &value)
+{
+    if (sink_ != nullptr)
+        event_.args.emplace_back(key, value);
+}
+
 } // namespace gpsched

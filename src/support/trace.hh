@@ -91,6 +91,28 @@ class TraceSink
  */
 std::uint64_t traceNowNanos();
 
+/**
+ * Records its own lifetime as an "X" event on the calling thread;
+ * with a null sink it takes no timestamp and records nothing.
+ */
+class TraceSpan
+{
+  public:
+    TraceSpan(TraceSink *sink, std::uint32_t pid, const char *name,
+              const char *cat);
+    ~TraceSpan();
+
+    TraceSpan(const TraceSpan &) = delete;
+    TraceSpan &operator=(const TraceSpan &) = delete;
+
+    /** Adds an arg to the event (nothing without a sink). */
+    void arg(const char *key, const std::string &value);
+
+  private:
+    TraceSink *sink_;
+    TraceEvent event_;
+};
+
 /** Small dense id for the calling thread, stable for its lifetime. */
 std::uint32_t traceThreadId();
 

@@ -7,6 +7,7 @@
  * a suite is recompiled.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -317,6 +318,62 @@ TEST(ResultCache, DigestCollisionsDoNotConfuseKeys)
     EXPECT_EQ(out.ii, 2);
 }
 
+TEST(ResultCache, EvictedKeysAreTheOnlyMisses)
+{
+    // The index points into its LRU entries, so eviction and
+    // re-insertion must leave no dangling key (ASan and TSan run
+    // this in CI).
+    ResultCache cache(8, 2);
+    constexpr int kKeys = 20;
+    for (int i = 0; i < kKeys; ++i)
+        cache.insert(keyOf("k" + std::to_string(i)),
+                     resultOf("k", i));
+    ASSERT_EQ(cache.size(), 8u);
+    ASSERT_EQ(cache.stats().evictions, kKeys - 8u);
+
+    int evicted = -1;
+    CompiledLoop out;
+    for (int i = 0; i < kKeys; ++i) {
+        if (!cache.lookup(keyOf("k" + std::to_string(i)), out))
+            evicted = i;
+    }
+    ASSERT_GE(evicted, 0);
+    cache.insert(keyOf("k" + std::to_string(evicted)),
+                 resultOf("k", 100 + evicted));
+
+    int misses = 0;
+    for (int i = 0; i < kKeys; ++i) {
+        if (!cache.lookup(keyOf("k" + std::to_string(i)), out)) {
+            ++misses;
+            continue;
+        }
+        EXPECT_EQ(out.ii, i == evicted ? 100 + i : i);
+    }
+    EXPECT_EQ(misses, kKeys - static_cast<int>(cache.size()));
+    EXPECT_EQ(cache.stats().evictions, kKeys - 8u + 1u);
+    ASSERT_TRUE(cache.lookup(keyOf("k" + std::to_string(evicted)), out));
+
+    // Evictions under contention: every hit is its own key's value.
+    ThreadPool pool(4);
+    std::atomic<int> wrong{0};
+    for (int t = 0; t < 8; ++t) {
+        pool.submit([&cache, &wrong] {
+            for (int i = 0; i < 400; ++i) {
+                const int k = (i * 7) % 50;
+                LoopKey key = keyOf("c" + std::to_string(k));
+                CompiledLoop value;
+                if (!cache.lookup(key, value))
+                    cache.insert(key, resultOf("c", k));
+                else if (value.ii != k)
+                    ++wrong;
+            }
+        });
+    }
+    pool.wait();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_LE(cache.size(), 8u);
+}
+
 TEST(ResultCache, ConcurrentMixedUseIsSafe)
 {
     ResultCache cache(64, 8);
@@ -614,6 +671,174 @@ TEST(Engine, ParallelSpeedupOnMultiCore)
                 serial, parallel, hw, serial / parallel);
     EXPECT_GE(serial / parallel, 3.0)
         << "serial " << serial << "s, parallel " << parallel << "s";
+}
+
+// --- windowed streaming --------------------------------------------
+
+TEST(EngineWindow, HoldsAtMostWindowItemsAndRetiresInOrder)
+{
+    for (int jobs : {1, 4}) {
+        EngineOptions options;
+        options.jobs = jobs;
+        options.cacheEnabled = false;
+        Engine engine(options);
+        const std::size_t window = engine.window();
+        EXPECT_EQ(window % static_cast<std::size_t>(jobs), 0u);
+        const std::size_t count = 3 * window + 7;
+
+        // Slot i % window holds item i from produce to retire; a
+        // produce that reused a live slot would show in retire.
+        std::vector<std::size_t> slots(window);
+        std::size_t live = 0;
+        std::size_t maxLive = 0;
+        std::vector<std::size_t> order;
+        engine.runWindowed(
+            [&](std::size_t i) {
+                if (i == count)
+                    return false;
+                slots[i % window] = i;
+                maxLive = std::max(maxLive, ++live);
+                return true;
+            },
+            [&](std::size_t i) {
+                // Uneven task times: later items often finish first.
+                if (i % 97 == 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(2));
+                slots[i % window] = 2 * slots[i % window] + 1;
+            },
+            [&](std::size_t i) {
+                EXPECT_EQ(slots[i % window], 2 * i + 1);
+                order.push_back(i);
+                --live;
+            });
+        EXPECT_LE(maxLive, window) << jobs << " jobs";
+        ASSERT_EQ(order.size(), count);
+        for (std::size_t i = 0; i < count; ++i)
+            ASSERT_EQ(order[i], i) << jobs << " jobs";
+    }
+}
+
+TEST(EngineWindow, ExceptionsSurfaceInIndexOrderAfterTheDrain)
+{
+    for (int jobs : {1, 4}) {
+        EngineOptions options;
+        options.jobs = jobs;
+        options.cacheEnabled = false;
+        Engine engine(options);
+        std::atomic<int> started{0};
+        std::atomic<int> finished{0};
+        std::vector<std::size_t> retired;
+        // Task 3 throws late, task 5 early: 3 is the first in index
+        // order, so it wins at any width, and nothing retires past
+        // it.
+        auto task = [&](std::size_t i) {
+            ++started;
+            if (i == 3)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+            ++finished;
+            if (i == 3 || i == 5)
+                throw std::runtime_error("task " + std::to_string(i));
+        };
+        try {
+            engine.runWindowed(
+                [](std::size_t i) { return i < 100; }, task,
+                [&](std::size_t i) { retired.push_back(i); });
+            ADD_FAILURE() << "no exception";
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "task 3");
+        }
+        // Every task that started has finished before the rethrow.
+        EXPECT_EQ(started.load(), finished.load());
+        EXPECT_EQ(retired, (std::vector<std::size_t>{0, 1, 2}));
+
+        // An input error surfaces once the items before it retire,
+        // unless one of those fails first.
+        retired.clear();
+        auto produce = [](std::size_t i) {
+            if (i == 10)
+                throw std::runtime_error("input 10");
+            return true;
+        };
+        try {
+            engine.runWindowed(produce, [](std::size_t) {},
+                               [&](std::size_t i) {
+                                   retired.push_back(i);
+                               });
+            ADD_FAILURE() << "no exception";
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "input 10");
+        }
+        EXPECT_EQ(retired.size(), 10u);
+        EXPECT_THROW(
+            engine.runWindowed(
+                produce,
+                [](std::size_t i) {
+                    if (i == 4)
+                        throw std::logic_error("task 4");
+                },
+                [](std::size_t) {}),
+            std::logic_error);
+
+        // The engine stays usable after a failed stream.
+        std::size_t sum = 0;
+        engine.runWindowed([](std::size_t i) { return i < 10; },
+                           [](std::size_t) {},
+                           [&](std::size_t i) { sum += i; });
+        EXPECT_EQ(sum, 45u);
+    }
+}
+
+TEST(Engine, CompileBatchPastTheWindowMatchesSerialCompiles)
+{
+    // 300 fuzz loops, each submitted twice (i and i + 300): 600 jobs,
+    // more than the 512-item window at 2 jobs, half of them cache
+    // hits or coalesced duplicates.
+    MachineConfig m = fourClusterConfig(32, 1);
+    std::vector<Ddg> loops;
+    for (int i = 0; i < 300; ++i)
+        loops.push_back(fuzz::corpusCase(3, i, LatencyTable{}).ddg);
+    std::vector<EngineJob> batch;
+    for (int rep = 0; rep < 2; ++rep) {
+        for (const Ddg &ddg : loops)
+            batch.push_back(EngineJob{&ddg, &m, SchedulerKind::Gp, {}});
+    }
+    EngineOptions options;
+    options.jobs = 2;
+    Engine engine(options);
+    ASSERT_LT(engine.window(), batch.size());
+    std::vector<CompileResult> results = engine.compileBatch(batch);
+
+    Engine serial(serialEngineOptions());
+    ASSERT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        CompileResult want = serial.compileOne(batch[i]);
+        const CompileResult &got = results[i];
+        ASSERT_EQ(got.ok(), want.ok()) << i;
+        if (!want.ok()) {
+            EXPECT_EQ(got.error->diagnostic(), want.error->diagnostic());
+            continue;
+        }
+        const CompiledLoop &a = got.loop;
+        const CompiledLoop &b = want.loop;
+        EXPECT_EQ(a.loopName, b.loopName) << i;
+        EXPECT_EQ(a.moduloScheduled, b.moduloScheduled) << i;
+        EXPECT_EQ(a.mii, b.mii) << i;
+        EXPECT_EQ(a.ii, b.ii) << i;
+        EXPECT_EQ(a.scheduleLength, b.scheduleLength) << i;
+        EXPECT_EQ(a.cycles, b.cycles) << i;
+        EXPECT_EQ(a.ipc, b.ipc) << i;
+        EXPECT_TRUE(a.stats == b.stats) << i;
+        EXPECT_EQ(a.partitionRuns, b.partitionRuns) << i;
+        EXPECT_EQ(a.scheduleAttempts, b.scheduleAttempts) << i;
+        EXPECT_TRUE(a.placements == b.placements) << i;
+        EXPECT_TRUE(a.transfers == b.transfers) << i;
+        EXPECT_TRUE(a.spills == b.spills) << i;
+        EXPECT_EQ(a.partition, b.partition) << i;
+    }
+    EXPECT_EQ(engine.stats().jobsSubmitted, batch.size());
+    EXPECT_LE(engine.stats().cacheMisses, loops.size());
 }
 
 // --- engine fault isolation ----------------------------------------

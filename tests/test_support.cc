@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <set>
@@ -287,7 +288,7 @@ TEST(Histogram, EmptyIsZero)
 
 TEST(Histogram, ExactMomentsApproximateQuantiles)
 {
-    Histogram h(1.0, 2.0, 16);
+    Histogram h(1.0, 16);
     for (int i = 1; i <= 100; ++i)
         h.add(static_cast<double>(i));
     EXPECT_EQ(h.count(), 100u);
@@ -295,20 +296,72 @@ TEST(Histogram, ExactMomentsApproximateQuantiles)
     EXPECT_DOUBLE_EQ(h.mean(), 50.5);
     EXPECT_DOUBLE_EQ(h.min(), 1.0);
     EXPECT_DOUBLE_EQ(h.max(), 100.0);
-    // Bucket bounds are powers of two: the true p50 (50) lands in
-    // the (32, 64] bucket, so the estimate is its upper bound; p95
-    // (95) lands in (64, 128] whose bound clamps to max = 100.
-    EXPECT_DOUBLE_EQ(h.p50(), 64.0);
-    EXPECT_DOUBLE_EQ(h.p95(), 100.0);
-    // Generic contract, independent of bucket shape: within one
-    // growth factor of the true quantile.
-    EXPECT_GE(h.p50(), 50.0 / 2.0);
-    EXPECT_LE(h.p50(), 50.0 * 2.0);
+    // The octave (32, 64] is split into buckets 4 wide: the true p50
+    // (50) lands in (48, 52], so the estimate is its upper bound; p95
+    // (95) lands in (88, 96] of the octave (64, 128].
+    EXPECT_DOUBLE_EQ(h.p50(), 52.0);
+    EXPECT_DOUBLE_EQ(h.p95(), 96.0);
+}
+
+namespace
+{
+
+/** The q-quantile of @p sorted as Histogram defines it: the sample
+ *  of 1-based rank ceil(q * n). */
+double
+exactQuantile(const std::vector<double> &sorted, double q)
+{
+    auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    return sorted[std::max<std::size_t>(rank, 1) - 1];
+}
+
+/** p50, p95 and p99 of @p samples each land within 12.5% of the
+ *  exact order statistic, never below it. */
+void
+expectQuantilesWithinAnEighth(std::vector<double> samples)
+{
+    Histogram h(1.0, 32);
+    for (double x : samples)
+        h.add(x);
+    std::sort(samples.begin(), samples.end());
+    for (double q : {0.50, 0.95, 0.99}) {
+        const double exact = exactQuantile(samples, q);
+        const double estimate = h.quantile(q);
+        EXPECT_GE(estimate, exact) << "q=" << q;
+        EXPECT_LE(estimate, exact * 1.125) << "q=" << q;
+    }
+    EXPECT_DOUBLE_EQ(h.p50(), h.quantile(0.50));
+    EXPECT_DOUBLE_EQ(h.p95(), h.quantile(0.95));
+    EXPECT_DOUBLE_EQ(h.p99(), h.quantile(0.99));
+}
+
+} // namespace
+
+TEST(Histogram, PercentilesWithinAnEighthOfTheOrderStatistic)
+{
+    // Uniform on 1..10000.
+    std::vector<double> uniform;
+    for (int i = 1; i <= 10000; ++i)
+        uniform.push_back(static_cast<double>(i));
+    expectQuantilesWithinAnEighth(uniform);
+
+    // Centred at 540 (the pool.taskRunMicros shape that the old
+    // growth-2 buckets reported as p50 = 1024): a triangle on
+    // [440, 640] with a long thin tail out to 5000.
+    std::vector<double> centred;
+    for (int a = 0; a <= 100; ++a) {
+        for (int b = 0; b <= 100; ++b)
+            centred.push_back(440.0 + a + b);
+    }
+    for (int i = 1; i <= 200; ++i)
+        centred.push_back(640.0 + 21.8 * i);
+    expectQuantilesWithinAnEighth(centred);
 }
 
 TEST(Histogram, SingleValueQuantilesCollapse)
 {
-    Histogram h(1.0, 2.0, 8);
+    Histogram h(1.0, 8);
     h.add(7.0);
     EXPECT_DOUBLE_EQ(h.p50(), 7.0);
     EXPECT_DOUBLE_EQ(h.p95(), 7.0);
@@ -316,7 +369,8 @@ TEST(Histogram, SingleValueQuantilesCollapse)
 
 TEST(Histogram, OverflowBucketClampsToMax)
 {
-    Histogram h(1.0, 2.0, 2); // bounded buckets: (..1], (1..2]
+    // Bounded buckets: (..1], then (1..2] and (2..4] in eight each.
+    Histogram h(1.0, 2);
     h.add(1000.0);
     h.add(2000.0);
     // Quantiles landing in the unbounded bucket report the observed
@@ -324,14 +378,15 @@ TEST(Histogram, OverflowBucketClampsToMax)
     EXPECT_DOUBLE_EQ(h.p50(), 2000.0);
     EXPECT_DOUBLE_EQ(h.p95(), 2000.0);
     std::vector<Histogram::Bucket> buckets = h.buckets();
-    ASSERT_EQ(buckets.size(), 3u);
+    ASSERT_EQ(buckets.size(), 1u + 2u * Histogram::kSubBuckets + 1u);
+    EXPECT_DOUBLE_EQ(buckets[buckets.size() - 2].upperBound, 4.0);
     EXPECT_TRUE(std::isinf(buckets.back().upperBound));
     EXPECT_EQ(buckets.back().count, 2u);
 }
 
 TEST(Histogram, NegativeSamplesClampIntoFirstBucket)
 {
-    Histogram h(1.0, 2.0, 4);
+    Histogram h(1.0, 4);
     h.add(-5.0);
     EXPECT_EQ(h.count(), 1u);
     EXPECT_DOUBLE_EQ(h.min(), -5.0);
@@ -340,7 +395,7 @@ TEST(Histogram, NegativeSamplesClampIntoFirstBucket)
 
 TEST(Histogram, CopyIsIndependent)
 {
-    Histogram a(1.0, 2.0, 8);
+    Histogram a(1.0, 8);
     a.add(3.0);
     Histogram b = a;
     b.add(9.0);
@@ -352,7 +407,7 @@ TEST(Histogram, ConcurrentAddsLoseNothing)
 {
     // Exercised under TSan in CI: concurrent add() on a shared
     // histogram must be race-free and lose no samples.
-    Histogram h(1.0, 2.0, 16);
+    Histogram h(1.0, 16);
     constexpr int threads = 8;
     constexpr int perThread = 5000;
     std::vector<std::thread> workers;

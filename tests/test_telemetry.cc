@@ -209,7 +209,7 @@ TEST(MetricRegistry, HandlesAreStableAndShared)
     registry.gauge("pool.queueDepth").set(-2);
     EXPECT_EQ(registry.gauge("pool.queueDepth").value(), -2);
 
-    Histogram &h1 = registry.histogram("pool.wait", 1.0, 2.0, 8);
+    Histogram &h1 = registry.histogram("pool.wait", 1.0, 8);
     h1.add(5.0);
     EXPECT_EQ(registry.histogram("pool.wait").count(), 1u);
 }
@@ -220,7 +220,7 @@ TEST(MetricRegistry, JsonDumpIsSortedAndComplete)
     registry.counter("b.count").add(2);
     registry.counter("a.count").add(1);
     registry.gauge("depth").set(4);
-    Histogram &h = registry.histogram("wait", 1.0, 2.0, 4);
+    Histogram &h = registry.histogram("wait", 1.0, 4);
     h.add(3.0);
     h.add(100.0); // overflow bucket -> "+Inf" bound
 
@@ -236,6 +236,7 @@ TEST(MetricRegistry, JsonDumpIsSortedAndComplete)
     EXPECT_NE(out.find("\"histograms\""), std::string::npos);
     EXPECT_NE(out.find("\"+Inf\""), std::string::npos);
     EXPECT_NE(out.find("\"p95\""), std::string::npos);
+    EXPECT_NE(out.find("\"p99\""), std::string::npos);
 }
 
 // --- engine integration ---------------------------------------------

@@ -3,8 +3,9 @@
 # own self-test, so a broken checker cannot vacuously pass). Uses
 # --jobs 4 to get genuinely concurrent compile spans across worker
 # tids, plus a --cache-dir so cache-probe/disk-IO spans appear too,
-# and --simulate so the CLI's own stage spans (cli.parse, cli.check,
-# cli.report) are all required.
+# and --simulate so the CLI's own spans (cli.parse and cli.report on
+# the main thread, a check per record on the workers) and the
+# engine's loop-key spans are all required.
 #
 # Variables: CLI (gpsched_cli path), DDG (input file), PYTHON
 # (interpreter), CHECK (check_trace.py path), OUT (trace output path
@@ -50,8 +51,8 @@ foreach(run cold warm)
   endif()
 
   execute_process(
-    COMMAND ${PYTHON} ${CHECK} --require cli.parse --require cli.check
-            --require cli.report ${trace_file}
+    COMMAND ${PYTHON} ${CHECK} --require cli.parse --require cli.report
+            --require check --require loop-key ${trace_file}
     RESULT_VARIABLE status
     OUTPUT_VARIABLE out_text
     ERROR_VARIABLE err

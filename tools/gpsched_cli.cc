@@ -12,20 +12,29 @@
  * `gpsched_cli --help` prints them. --machine takes a registry name
  * (--list-machines; default 4c-r64-b1) or a .machine file path.
  * --keep-going turns each malformed or rejected loop into an error
- * object in the report; without it the first failing loop ends the
- * run with a fatal file:line diagnostic. --simulate holds every
- * compiled loop to the record contract (sim::checkRecord), on the
- * engine's pool. Exit status is 2 on a usage error, otherwise
- * nonzero iff a loop or a record check failed. With --trace, the
- * serial stages are cli.parse / cli.check / cli.report spans.
+ * object in the report; without it the first failing loop in report
+ * order ends the run with a fatal file:line diagnostic. --simulate
+ * holds every compiled loop to the record contract
+ * (sim::checkRecord). Exit status is 2 on a usage error, otherwise
+ * nonzero iff a loop or a record check failed.
+ *
+ * The run streams (Engine::runWindowed): the main thread reads one
+ * block at a time, the engine's pool compiles and checks it, and its
+ * row is written once every earlier row is, so at most
+ * Engine::window() loops are held at once. With --trace, the main
+ * thread's read and emit stretches are cli.parse / cli.report spans
+ * and each record check is a check span on its worker.
  */
 
-#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/pipeline.hh"
@@ -109,26 +118,130 @@ parseArgs(int argc, char **argv)
 }
 
 /**
- * Records [@p startNanos, @p endNanos) as the complete event @p name
- * on the calling (main) thread under the engine's trace pid; no-op
- * without --trace. The CLI's serial stages (parse, the --simulate
- * check pass, report emission) are spanned this way.
+ * One input file, read once per pass. A regular file is reopened
+ * each time. Anything else (a pipe, /dev/stdin) can be read only
+ * once, so a run of several passes holds its text in memory; a
+ * single-pass run streams it.
  */
-void
-traceStage(TraceSink *sink, const Engine &engine, const char *name,
-           std::uint64_t startNanos, std::uint64_t endNanos)
+struct Input
 {
-    if (sink == nullptr)
-        return;
-    TraceEvent event;
-    event.name = name;
-    event.cat = "cli";
-    event.pid = engine.tracePid();
-    event.tid = traceThreadId();
-    event.tsNanos = startNanos;
-    event.durNanos = endNanos - startNanos;
-    sink->complete(std::move(event));
+    std::string path;
+
+    /** The stream opened up front, kept for a single pass. */
+    std::unique_ptr<std::istream> stream;
+
+    /** The whole input, held when it must be read again. */
+    std::optional<std::string> text;
+
+    /** The stream for the next pass over this input. */
+    std::unique_ptr<std::istream> open()
+    {
+        if (stream)
+            return std::move(stream);
+        if (text.has_value())
+            return std::make_unique<std::istringstream>(*text);
+        return std::make_unique<std::ifstream>(openDdgFile(path));
+    }
+};
+
+/** Opens every input up front, so a missing file fails before any
+ *  compile. */
+std::vector<Input>
+openInputs(const std::vector<std::string> &paths, int passes)
+{
+    std::vector<Input> inputs;
+    for (const std::string &path : paths) {
+        Input &input = inputs.emplace_back();
+        input.path = path;
+        auto stream = std::make_unique<std::ifstream>(openDdgFile(path));
+        std::error_code error;
+        if (std::filesystem::is_regular_file(path, error))
+            continue;
+        if (passes == 1) {
+            input.stream = std::move(stream);
+        } else {
+            std::ostringstream text;
+            text << stream->rdbuf();
+            input.text = text.str();
+        }
+    }
+    return inputs;
 }
+
+/** One live loop of the stream: its input block, the scheme it
+ *  compiles under, and what the pool made of it. */
+struct Row
+{
+    DdgBlock input;
+    SchedulerKind kind = SchedulerKind::Gp;
+    CompileResult result;
+    std::optional<sim::RecordCheck> check;
+};
+
+/**
+ * The blocks of one pass: every input once per scheme, scheme-major,
+ * so the rows come out in report order. One input is open at a
+ * time.
+ */
+class PassReader
+{
+  public:
+    PassReader(std::vector<Input> &inputs,
+               const std::vector<SchedulerKind> &schemes, bool keepGoing)
+        : inputs_(inputs), schemes_(schemes), keepGoing_(keepGoing)
+    {
+    }
+
+    /**
+     * Reads the next block into @p row; false at the end of the pass,
+     * or at an input that held no block (emptyInput() then names
+     * it).
+     */
+    bool next(Row &row)
+    {
+        for (;;) {
+            if (!reader_) {
+                if (scheme_ == schemes_.size())
+                    return false;
+                stream_ = inputs_[file_].open();
+                reader_.emplace(*stream_, inputs_[file_].path,
+                                keepGoing_);
+                blocksRead_ = 0;
+            }
+            if (reader_->next(row.input)) {
+                ++blocksRead_;
+                row.kind = schemes_[scheme_];
+                return true;
+            }
+            if (blocksRead_ == 0) {
+                emptyInput_ = inputs_[file_].path;
+                return false;
+            }
+            reader_.reset();
+            stream_.reset();
+            if (++file_ == inputs_.size()) {
+                file_ = 0;
+                ++scheme_;
+            }
+        }
+    }
+
+    const std::optional<std::string> &emptyInput() const
+    {
+        return emptyInput_;
+    }
+
+  private:
+    std::vector<Input> &inputs_;
+    const std::vector<SchedulerKind> &schemes_;
+    bool keepGoing_;
+    std::size_t scheme_ = 0;
+    std::size_t file_ = 0;
+    std::unique_ptr<std::istream> stream_;
+    std::optional<DdgBlockReader> reader_;
+    std::size_t blocksRead_ = 0;
+    std::optional<std::string> emptyInput_;
+};
 
 /** The report's error-object schema: kind, message, location. */
 void
@@ -141,15 +254,10 @@ writeErrorObject(JsonWriter &json, const CompileError &error)
     json.endObject();
 }
 
+/** Opens the report and its loops array. */
 void
-writeReport(std::ostream &os, const CliOptions &options,
-            const MachineConfig &machine,
-            const std::vector<DdgBlock> &inputs,
-            const std::vector<CompileResult> &results,
-            const std::vector<std::optional<sim::RecordCheck>> &checks,
-            const Engine &engine)
+writeReportHeader(JsonWriter &json, const MachineConfig &machine)
 {
-    JsonWriter json(os);
     json.beginObject();
     json.member("schemaVersion", 1);
     json.member("tool", "gpsched_cli");
@@ -184,82 +292,85 @@ writeReport(std::ostream &os, const CliOptions &options,
     json.endArray();
     json.endObject();
     json.beginArray("loops");
-    // Engine results cover the parsed inputs only, scheme-major in
-    // the same order the batch was built.
-    std::size_t next = 0;
-    for (const SchedulerKind kind : options.schemes) {
-        for (const DdgBlock &input : inputs) {
-            json.beginObject();
-            json.member("file", input.source);
-            if (!input.parsed()) {
-                json.member("name", input.parseError->loopName());
-                json.member("scheme", toString(kind));
-                writeErrorObject(json, *input.parseError);
-                json.endObject();
-                continue;
-            }
-            const CompileResult &result = results[next++];
-            json.member("name", result.ok()
-                                    ? result.loop.loopName
+}
+
+/** One element of the loops array. */
+void
+writeRow(JsonWriter &json, const Row &row)
+{
+    const DdgBlock &input = row.input;
+    json.beginObject();
+    json.member("file", input.source);
+    if (!input.parsed()) {
+        json.member("name", input.parseError->loopName());
+        json.member("scheme", toString(row.kind));
+        writeErrorObject(json, *input.parseError);
+        json.endObject();
+        return;
+    }
+    const CompileResult &result = row.result;
+    json.member("name", result.ok() ? result.loop.loopName
                                     : result.error->loopName());
-            json.member("scheme", toString(kind));
-            json.member("nodes", input.ddg.numNodes());
-            json.member("edges", input.ddg.numEdges());
-            json.member("tripCount", input.ddg.tripCount());
-            // Per-row warm/cold inspectability: how this row was
-            // obtained and how long the engine spent on it.
-            json.member("source", compileSourceName(result.source));
-            json.member("compileMs", result.compileMs);
-            if (!result.ok()) {
-                writeErrorObject(json, *result.error);
-                json.endObject();
-                continue;
-            }
-            const CompiledLoop &loop = result.loop;
-            json.member("moduloScheduled", loop.moduloScheduled);
-            json.member("mii", loop.mii);
-            json.member("ii", loop.ii);
-            json.member("scheduleLength", loop.scheduleLength);
-            json.member("cycles", loop.cycles);
-            json.member("ops", loop.ops);
-            json.member("ipc", loop.ipc);
-            json.member("busTransfers", loop.stats.busTransfers);
-            json.member("memTransfers", loop.stats.memTransfers);
-            json.member("spills", loop.stats.spills);
-            json.member("partitionRuns", loop.partitionRuns);
-            json.member("scheduleAttempts", loop.scheduleAttempts);
-            json.member("schedSeconds", loop.schedSeconds);
-            // --simulate: the replay and the record-contract verdict
-            // ride on the row. next was already advanced past this
-            // result.
-            if (checks[next - 1].has_value()) {
-                const sim::RecordCheck &check = *checks[next - 1];
-                const sim::SimResult &s = check.sim;
-                json.member("replayed", s.replayed);
-                json.member("simOk", s.simOk);
-                json.member("achievedII", s.achievedII);
-                json.member("simCycles", s.simCycles);
-                json.member("achievedIpc", s.achievedIpc);
-                if (s.fault.has_value()) {
-                    json.beginObject("simFault");
-                    json.member("kind",
-                                sim::toString(s.fault->kind));
-                    json.member("cycle", s.fault->cycle);
-                    json.member("node",
-                                static_cast<int>(s.fault->node));
-                    json.member("detail", s.fault->detail);
-                    json.endObject();
-                }
-                if (!check.ok()) {
-                    json.beginObject("recordCheck");
-                    json.member("verdict", sim::toString(check.verdict));
-                    json.member("detail", check.detail);
-                    json.endObject();
-                }
-            }
+    json.member("scheme", toString(row.kind));
+    json.member("nodes", input.ddg.numNodes());
+    json.member("edges", input.ddg.numEdges());
+    json.member("tripCount", input.ddg.tripCount());
+    // Per-row warm/cold inspectability: how this row was obtained
+    // and how long the engine spent on it.
+    json.member("source", compileSourceName(result.source));
+    json.member("compileMs", result.compileMs);
+    if (!result.ok()) {
+        writeErrorObject(json, *result.error);
+        json.endObject();
+        return;
+    }
+    const CompiledLoop &loop = result.loop;
+    json.member("moduloScheduled", loop.moduloScheduled);
+    json.member("mii", loop.mii);
+    json.member("ii", loop.ii);
+    json.member("scheduleLength", loop.scheduleLength);
+    json.member("cycles", loop.cycles);
+    json.member("ops", loop.ops);
+    json.member("ipc", loop.ipc);
+    json.member("busTransfers", loop.stats.busTransfers);
+    json.member("memTransfers", loop.stats.memTransfers);
+    json.member("spills", loop.stats.spills);
+    json.member("partitionRuns", loop.partitionRuns);
+    json.member("scheduleAttempts", loop.scheduleAttempts);
+    json.member("schedSeconds", loop.schedSeconds);
+    // --simulate: the replay and the record-contract verdict ride on
+    // the row.
+    if (row.check.has_value()) {
+        const sim::RecordCheck &check = *row.check;
+        const sim::SimResult &s = check.sim;
+        json.member("replayed", s.replayed);
+        json.member("simOk", s.simOk);
+        json.member("achievedII", s.achievedII);
+        json.member("simCycles", s.simCycles);
+        json.member("achievedIpc", s.achievedIpc);
+        if (s.fault.has_value()) {
+            json.beginObject("simFault");
+            json.member("kind", sim::toString(s.fault->kind));
+            json.member("cycle", s.fault->cycle);
+            json.member("node", static_cast<int>(s.fault->node));
+            json.member("detail", s.fault->detail);
+            json.endObject();
+        }
+        if (!check.ok()) {
+            json.beginObject("recordCheck");
+            json.member("verdict", sim::toString(check.verdict));
+            json.member("detail", check.detail);
             json.endObject();
         }
     }
+    json.endObject();
+}
+
+/** Closes the loops array and the report with the engine block. */
+void
+writeReportTrailer(JsonWriter &json, const CliOptions &options,
+                   const Engine &engine)
+{
     json.endArray();
     json.beginObject("engine");
     engine.writeStatsJson(json);
@@ -276,13 +387,19 @@ run(int argc, char **argv)
     CliOptions options = parseArgs(argc, argv);
     MachineConfig machine =
         MachineRegistry::builtin().resolve(options.machine);
-    const std::uint64_t parseStart = traceNowNanos();
-    std::vector<DdgBlock> inputs;
-    for (const std::string &path : options.files) {
-        for (DdgBlock &block : readDdgFile(path, options.keepGoing))
-            inputs.push_back(std::move(block));
+    std::ofstream reportFile;
+    if (options.jsonPath != "-") {
+        reportFile.open(options.jsonPath);
+        if (!reportFile)
+            GPSCHED_FATAL("cannot open JSON report path '",
+                          options.jsonPath, "'");
     }
-    const std::uint64_t parseEnd = traceNowNanos();
+    std::ostream &reportStream =
+        options.jsonPath == "-" ? std::cout : reportFile;
+    // Each --repeat pass reads every input once per scheme.
+    const int passes =
+        options.repeat * static_cast<int>(options.schemes.size());
+    std::vector<Input> inputs = openInputs(options.files, passes);
 
     // Telemetry destinations outlive the engine (required: worker
     // threads write into them until the engine is destroyed).
@@ -301,82 +418,76 @@ run(int argc, char **argv)
     }
     Engine engine(engineOptions);
     TraceSink *sink = engineOptions.trace;
-    traceStage(sink, engine, "cli.parse", parseStart, parseEnd);
 
-    std::vector<EngineJob> batch;
-    batch.reserve(options.schemes.size() * inputs.size());
-    for (const SchedulerKind kind : options.schemes) {
-        for (const DdgBlock &input : inputs) {
-            if (!input.parsed())
-                continue;
-            EngineJob job;
-            job.loop = &input.ddg;
-            job.machine = &machine;
-            job.kind = kind;
-            batch.push_back(job);
-        }
+    JsonWriter json(reportStream);
+    {
+        TraceSpan span(sink, engine.tracePid(), "cli.report", "cli");
+        writeReportHeader(json, machine);
     }
 
-    std::vector<CompileResult> results;
-    for (int r = 0; r < options.repeat; ++r)
-        results = engine.compileBatch(batch);
-
-    // --simulate: hold every successfully compiled loop to the
-    // record contract; the verdicts ride on the report rows
-    // (parallel to results, error rows keep their error object
-    // untouched). The checks run on the engine's pool, each filling
-    // its own slot; failures are reported afterwards in index
-    // order, so the output does not depend on --jobs.
-    std::vector<std::optional<sim::RecordCheck>> checks(
-        results.size());
-    bool simFailed = false;
-    if (options.simulate) {
-        const std::uint64_t checkStart = traceNowNanos();
-        engine.runIndexed(results.size(), [&](std::size_t i) {
-            if (results[i].ok())
-                checks[i] = sim::checkRecord(*batch[i].loop, machine,
-                                             results[i].loop);
-        });
-        traceStage(sink, engine, "cli.check", checkStart,
-                   traceNowNanos());
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!checks[i].has_value() || checks[i]->ok())
-                continue;
-            simFailed = true;
-            GPSCHED_WARN("record check of loop '",
-                         results[i].loop.loopName, "' failed: ",
-                         sim::toString(checks[i]->verdict), ": ",
-                         checks[i]->detail);
-        }
+    // Each pass reads its blocks into the window's rows (main
+    // thread), compiles each on the pool, and retires them in report
+    // order. Only the last pass checks and emits; earlier --repeat
+    // passes warm the caches. Without --keep-going the first failing
+    // row in report order ends the run.
+    std::vector<Row> rows(engine.window());
+    bool anyFailed = false;
+    for (int r = 0; r < options.repeat; ++r) {
+        const bool lastPass = r + 1 == options.repeat;
+        PassReader pass(inputs, options.schemes, options.keepGoing);
+        auto produce = [&](std::size_t i) {
+            TraceSpan span(sink, engine.tracePid(), "cli.parse", "cli");
+            Row &row = rows[i % rows.size()];
+            if (!pass.next(row))
+                return false;
+            // Warn once: in the first scheme of the first pass.
+            if (!row.input.parsed() && r == 0 &&
+                row.kind == options.schemes[0])
+                warnSkippedBlock(row.input);
+            return true;
+        };
+        auto task = [&](std::size_t i) {
+            Row &row = rows[i % rows.size()];
+            row.check.reset();
+            if (!row.input.parsed())
+                return;
+            row.result = engine.compileOne(
+                EngineJob{&row.input.ddg, &machine, row.kind, {}});
+            if (lastPass && options.simulate && row.result.ok()) {
+                TraceSpan span(sink, engine.tracePid(), "check", "cli");
+                span.arg("loop", row.result.loop.loopName);
+                row.check = sim::checkRecord(row.input.ddg, machine,
+                                             row.result.loop);
+            }
+        };
+        auto retire = [&](std::size_t i) {
+            const Row &row = rows[i % rows.size()];
+            const bool failed =
+                !row.input.parsed() || !row.result.ok();
+            anyFailed |= failed;
+            if (failed && row.input.parsed() && !options.keepGoing)
+                throw *row.result.error;
+            if (!lastPass)
+                return;
+            TraceSpan span(sink, engine.tracePid(), "cli.report", "cli");
+            writeRow(json, row);
+            if (row.check.has_value() && !row.check->ok()) {
+                anyFailed = true;
+                GPSCHED_WARN("record check of loop '",
+                             row.result.loop.loopName, "' failed: ",
+                             sim::toString(row.check->verdict), ": ",
+                             row.check->detail);
+            }
+        };
+        engine.runWindowed(produce, task, retire);
+        if (pass.emptyInput().has_value())
+            GPSCHED_FATAL("no DDGs found in '", *pass.emptyInput(),
+                          "'");
     }
-
-    bool anyFailed = simFailed;
-    for (const DdgBlock &input : inputs)
-        anyFailed |= !input.parsed();
-    for (const CompileResult &result : results) {
-        if (!result.ok()) {
-            anyFailed = true;
-            // Without --keep-going the first compile failure ends
-            // the run exactly like the historical fatal did.
-            if (!options.keepGoing)
-                throw *result.error;
-        }
+    {
+        TraceSpan span(sink, engine.tracePid(), "cli.report", "cli");
+        writeReportTrailer(json, options, engine);
     }
-
-    const std::uint64_t reportStart = traceNowNanos();
-    if (options.jsonPath == "-") {
-        writeReport(std::cout, options, machine, inputs,
-                    results, checks, engine);
-    } else {
-        std::ofstream out(options.jsonPath);
-        if (!out)
-            GPSCHED_FATAL("cannot open JSON report path '",
-                          options.jsonPath, "'");
-        writeReport(out, options, machine, inputs, results,
-                    checks, engine);
-    }
-    traceStage(sink, engine, "cli.report", reportStart,
-               traceNowNanos());
 
     if (!options.statsJsonPath.empty()) {
         engine.exportStats(registry);
