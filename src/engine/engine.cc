@@ -432,6 +432,7 @@ Engine::stats() const
         stats.diskMisses = disk.misses;
         stats.diskStores = disk.stores;
         stats.corruptEvicted = disk.corruptEvicted;
+        stats.diskStoreErrors = disk.storeErrors;
     }
     return stats;
 }
@@ -459,6 +460,7 @@ Engine::writeStatsJson(JsonWriter &json) const
     json.member("diskMisses", s.diskMisses);
     json.member("diskStores", s.diskStores);
     json.member("corruptEvicted", s.corruptEvicted);
+    json.member("diskStoreErrors", s.diskStoreErrors);
     json.member("diskHitRate", s.diskHitRate());
     // Additive: phase breakdown only when the engine collected one,
     // so pre-telemetry consumers of this block are unaffected.
@@ -483,6 +485,7 @@ Engine::exportStats(MetricRegistry &registry) const
         registry.counter("disk.misses").set(s.diskMisses);
         registry.counter("disk.stores").set(s.diskStores);
         registry.counter("disk.corruptEvicted").set(s.corruptEvicted);
+        registry.counter("disk.storeErrors").set(s.diskStoreErrors);
     }
     CompileTrace totals = phaseTotals();
     if (totals.empty())

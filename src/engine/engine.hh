@@ -203,8 +203,12 @@ struct EngineStats
     /** Records published to the persistent cache. */
     std::uint64_t diskStores = 0;
 
-    /** Malformed/stale on-disk records evicted during lookups. */
+    /** Malformed/stale on-disk records dropped as misses. */
     std::uint64_t corruptEvicted = 0;
+
+    /** Disk-cache stores that failed on I/O (the result is still
+     *  returned; it is just not persisted). */
+    std::uint64_t diskStoreErrors = 0;
 
     /** Jobs that returned a diagnostic instead of a schedule
      *  (counted per job: a coalesced duplicate observing its

@@ -92,6 +92,13 @@ ByteReader::u8()
     return data_[pos_++];
 }
 
+void
+ByteReader::skip(std::size_t n)
+{
+    if (claim(n))
+        pos_ += n;
+}
+
 std::uint32_t
 ByteReader::u32()
 {

@@ -87,6 +87,9 @@ class ByteReader
      */
     std::string str();
 
+    /** Steps over @p n bytes; latches failure past the end. */
+    void skip(std::size_t n);
+
   private:
     /** Claims @p n bytes; false (and latches failure) on underflow. */
     bool claim(std::size_t n);

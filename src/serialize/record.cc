@@ -22,6 +22,19 @@ readCount(ByteReader &in, std::uint32_t &count)
     return in.ok() && count <= maxElements;
 }
 
+/** Reads the header; false unless magic and both versions match. */
+bool
+readHeader(ByteReader &in, std::uint64_t &payloadSize,
+           std::uint64_t &checksum)
+{
+    const bool current = in.u32() == diskRecordMagic &&
+                         in.u32() == recordFormatVersion &&
+                         in.u32() == keySchemaVersion;
+    payloadSize = in.u64();
+    checksum = in.u64();
+    return current && in.ok();
+}
+
 } // namespace
 
 // --- LoopKey -------------------------------------------------------
@@ -180,15 +193,10 @@ decodeCacheRecord(const std::string &bytes, LoopKey &key,
                   CompiledLoop &value)
 {
     ByteReader in(bytes);
-    if (in.u32() != diskRecordMagic)
-        return false;
-    if (in.u32() != recordFormatVersion)
-        return false;
-    if (in.u32() != keySchemaVersion)
-        return false;
-    const std::uint64_t payloadSize = in.u64();
-    const std::uint64_t checksum = in.u64();
-    if (!in.ok() || payloadSize != in.remaining())
+    std::uint64_t payloadSize = 0;
+    std::uint64_t checksum = 0;
+    if (!readHeader(in, payloadSize, checksum) ||
+        payloadSize != in.remaining())
         return false;
     if (checksum != fnv1a64(bytes.data() + recordHeaderSize,
                             payloadSize))
@@ -199,6 +207,32 @@ decodeCacheRecord(const std::string &bytes, LoopKey &key,
         return false;
     // Trailing garbage means the record is not what it claims.
     return in.atEnd();
+}
+
+std::uint64_t
+recordLength(const char *header)
+{
+    ByteReader in(header, recordHeaderSize);
+    std::uint64_t payloadSize = 0;
+    std::uint64_t checksum = 0;
+    if (!readHeader(in, payloadSize, checksum) ||
+        payloadSize > UINT64_MAX - recordHeaderSize)
+        return 0;
+    return recordHeaderSize + payloadSize;
+}
+
+bool
+recordKeyDigest(const char *record, std::uint64_t length,
+                std::uint64_t &digest)
+{
+    if (length < recordHeaderSize)
+        return false;
+    // The payload opens with encodeLoopKey: the canonical string,
+    // then its digest.
+    ByteReader in(record + recordHeaderSize, length - recordHeaderSize);
+    in.skip(in.u32());
+    digest = in.u64();
+    return in.ok();
 }
 
 } // namespace gpsched

@@ -26,7 +26,10 @@
  * bounds-checked field decoding — and reports failure on any
  * mismatch. Malformed bytes can therefore never crash a reader or
  * smuggle a wrong schedule past it; the disk cache treats a failed
- * decode as a miss and evicts the record.
+ * decode as a miss, drops the record from its index and never
+ * serves it again. recordLength() and recordKeyDigest() read only
+ * the framing, which is how the disk cache walks its append-only
+ * segment files (engine/disk_cache.hh) without decoding them.
  */
 
 #ifndef GPSCHED_SERIALIZE_RECORD_HH
@@ -92,6 +95,22 @@ std::string encodeCacheRecord(const LoopKey &key,
  */
 bool decodeCacheRecord(const std::string &bytes, LoopKey &key,
                        CompiledLoop &value);
+
+/**
+ * Length of the whole record whose header (recordHeaderSize bytes)
+ * starts at @p header; 0 when the magic or either version does not
+ * match. Neither the checksum nor the payload is read, so a length
+ * only says where a record claims to end.
+ */
+std::uint64_t recordLength(const char *header);
+
+/**
+ * The key digest claimed by the @p length -byte record at @p record
+ * (a length from recordLength()); false when the key's framing does
+ * not fit in the record. Unverified, like recordLength().
+ */
+bool recordKeyDigest(const char *record, std::uint64_t length,
+                     std::uint64_t &digest);
 
 } // namespace gpsched
 

@@ -3,11 +3,13 @@
  * The persistent compile cache: store/lookup round trips, the
  * acceptance-bar warm rerun (>= 90% disk hits, bit-identical
  * schedules), corruption robustness (truncation, bit flips, version
- * bumps — always a miss plus eviction, never a crash or a wrong
- * schedule), a wrong but well-formed record (served from disk, caught
- * by sim::checkRecord), the size-budget compaction, and a two-engine
- * shared-directory stress run whose results must match a serial
- * cache-less compile while never leaving partial records behind.
+ * bumps, garbage, a torn segment tail — always a miss plus eviction,
+ * never a crash or a wrong schedule), a wrong but well-formed record
+ * (served from disk, caught by sim::checkRecord), failed stores
+ * (counted, never fatal), the size-budget compaction, the file count
+ * of a cold run, and a two-engine shared-directory stress run whose
+ * results must match a serial cache-less compile while never leaving
+ * partial records behind.
  */
 
 #include <cstdint>
@@ -55,21 +57,31 @@ freshCacheDir(const std::string &tag)
     return dir.string();
 }
 
-/** Every record file currently in @p dir. */
+/** Whole contents of @p path. */
+std::string
+readBytes(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+/** Every segment file currently in @p dir. */
 std::vector<fs::path>
-recordFiles(const std::string &dir)
+segmentFiles(const std::string &dir)
 {
     std::vector<fs::path> files;
     for (const fs::directory_entry &entry :
          fs::recursive_directory_iterator(dir)) {
         if (entry.is_regular_file() &&
-            entry.path().extension() == ".gpc")
+            entry.path().extension() == ".seg")
             files.push_back(entry.path());
     }
     return files;
 }
 
-/** Every non-record (temp) file currently in @p dir. */
+/** Every non-segment file currently in @p dir. */
 std::vector<fs::path>
 strayFiles(const std::string &dir)
 {
@@ -77,10 +89,48 @@ strayFiles(const std::string &dir)
     for (const fs::directory_entry &entry :
          fs::recursive_directory_iterator(dir)) {
         if (entry.is_regular_file() &&
-            entry.path().extension() != ".gpc")
+            entry.path().extension() != ".seg")
             files.push_back(entry.path());
     }
     return files;
+}
+
+/** Where one record's bytes live. */
+struct RecordSpan
+{
+    fs::path segment;
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+};
+
+/**
+ * Every record in @p dir, found by walking each segment's framing;
+ * a segment's walk ends where its bytes stop framing whole records.
+ */
+std::vector<RecordSpan>
+recordSpans(const std::string &dir)
+{
+    std::vector<RecordSpan> spans;
+    for (const fs::path &segment : segmentFiles(dir)) {
+        const std::string bytes = readBytes(segment);
+        std::uint64_t at = 0;
+        while (bytes.size() - at >= recordHeaderSize) {
+            const std::uint64_t length =
+                recordLength(bytes.data() + at);
+            if (length == 0 || length > bytes.size() - at)
+                break;
+            spans.push_back(RecordSpan{segment, at, length});
+            at += length;
+        }
+    }
+    return spans;
+}
+
+/** The bytes of @p span. */
+std::string
+spanBytes(const RecordSpan &span)
+{
+    return readBytes(span.segment).substr(span.offset, span.length);
 }
 
 /** Full bit-level comparison, including the schedule payload. */
@@ -211,7 +261,7 @@ namespace
 {
 
 /**
- * Compiles one loop through an engine bound to @p dir (publishing
+ * Compiles one loop through an engine bound to @p dir (appending
  * one record), corrupts that record with @p corrupt, then verifies
  * the corrupted store degrades to a miss: a fresh engine recompiles,
  * the result is bit-identical to a cache-less compile, and the loop
@@ -219,7 +269,7 @@ namespace
  */
 void
 corruptionScenario(const std::string &tag,
-                   const std::function<void(const fs::path &)>
+                   const std::function<void(const RecordSpan &)>
                        &corrupt)
 {
     std::string dir = freshCacheDir(tag);
@@ -244,7 +294,7 @@ corruptionScenario(const std::string &tag,
         engine.compileOne(
             EngineJob{&g, &m, SchedulerKind::Gp, {}});
     }
-    std::vector<fs::path> records = recordFiles(dir);
+    std::vector<RecordSpan> records = recordSpans(dir);
     ASSERT_EQ(records.size(), 1u);
     corrupt(records[0]);
 
@@ -270,28 +320,22 @@ corruptionScenario(const std::string &tag,
 
 TEST(DiskCache, TruncatedRecordIsAMissAndEvicted)
 {
-    corruptionScenario("truncate", [](const fs::path &path) {
-        const std::uintmax_t size = fs::file_size(path);
-        fs::resize_file(path, size / 2);
+    corruptionScenario("truncate", [](const RecordSpan &span) {
+        fs::resize_file(span.segment, span.offset + span.length / 2);
     });
 }
 
 TEST(DiskCache, BitFlippedRecordIsAMissAndEvicted)
 {
-    corruptionScenario("bitflip", [](const fs::path &path) {
-        std::string bytes;
-        {
-            std::ifstream in(path, std::ios::binary);
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            bytes = buffer.str();
-        }
-        ASSERT_GT(bytes.size(), recordHeaderSize);
+    corruptionScenario("bitflip", [](const RecordSpan &span) {
+        std::string bytes = readBytes(span.segment);
+        ASSERT_GT(span.length, recordHeaderSize);
         // Flip one payload byte (past the header) so the checksum
         // layer, not the framing, must catch it.
-        std::size_t at = recordHeaderSize + bytes.size() / 3;
+        std::size_t at =
+            span.offset + recordHeaderSize + span.length / 3;
         bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
-        std::ofstream out(path,
+        std::ofstream out(span.segment,
                           std::ios::binary | std::ios::trunc);
         out.write(bytes.data(),
                   static_cast<std::streamsize>(bytes.size()));
@@ -300,11 +344,12 @@ TEST(DiskCache, BitFlippedRecordIsAMissAndEvicted)
 
 TEST(DiskCache, VersionBumpedRecordIsAMissAndEvicted)
 {
-    corruptionScenario("verbump", [](const fs::path &path) {
-        std::fstream io(path, std::ios::binary | std::ios::in |
-                                  std::ios::out);
-        io.seekp(
-            static_cast<std::streamoff>(recordVersionOffset));
+    corruptionScenario("verbump", [](const RecordSpan &span) {
+        std::fstream io(span.segment, std::ios::binary |
+                                          std::ios::in |
+                                          std::ios::out);
+        io.seekp(static_cast<std::streamoff>(span.offset +
+                                             recordVersionOffset));
         char next = static_cast<char>(recordFormatVersion + 1);
         io.write(&next, 1);
     });
@@ -322,18 +367,77 @@ TEST(DiskCache, GarbageFileIsAMissAndEvicted)
     // Plant garbage exactly where this key's record would live.
     LoopCompiler compiler(m, SchedulerKind::Gp);
     cache.store(key, compiler.compile(g));
-    std::vector<fs::path> records = recordFiles(dir);
+    std::vector<RecordSpan> records = recordSpans(dir);
     ASSERT_EQ(records.size(), 1u);
     {
-        std::ofstream out(records[0],
-                          std::ios::binary | std::ios::trunc);
-        out << "not a cache record at all";
+        std::fstream io(records[0].segment, std::ios::binary |
+                                                std::ios::in |
+                                                std::ios::out);
+        io.seekp(static_cast<std::streamoff>(records[0].offset));
+        io << "not a cache record at all";
     }
 
     CompiledLoop out;
     EXPECT_FALSE(cache.lookup(key, out));
     EXPECT_EQ(cache.stats().corruptEvicted, 1u);
-    EXPECT_TRUE(recordFiles(dir).empty()) << "bad record not evicted";
+    EXPECT_TRUE(segmentFiles(dir).empty()) << "bad record not evicted";
+    fs::remove_all(dir);
+}
+
+/**
+ * A writer that died (or is still running) mid-append leaves a torn
+ * record at the end of its segment. A fresh instance must serve every
+ * whole record before it, never serve the tail, and count the tail
+ * as one corrupt record.
+ */
+TEST(DiskCache, TornSegmentTailKeepsEarlierRecordsAndIsNeverServed)
+{
+    std::string dir = freshCacheDir("torn");
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    std::vector<Ddg> loops;
+    for (int n = 4; n < 8; ++n)
+        loops.push_back(chainLoop(n, lat));
+    std::vector<LoopKey> keys;
+    std::vector<CompiledLoop> compiled;
+    for (const Ddg &g : loops) {
+        keys.push_back(makeLoopKey(g, m, SchedulerKind::Gp, {}));
+        compiled.push_back(
+            LoopCompiler(m, SchedulerKind::Gp).compile(g));
+    }
+    {
+        DiskCache writer(dir, 0);
+        for (std::size_t i = 0; i + 1 < loops.size(); ++i)
+            writer.store(keys[i], compiled[i]);
+    }
+    std::vector<fs::path> segments = segmentFiles(dir);
+    ASSERT_EQ(segments.size(), 1u);
+    const std::string last =
+        encodeCacheRecord(keys.back(), compiled.back());
+    {
+        std::ofstream out(segments[0],
+                          std::ios::binary | std::ios::app);
+        out.write(last.data(),
+                  static_cast<std::streamsize>(last.size() / 2));
+    }
+
+    DiskCache reader(dir, 0);
+    EXPECT_EQ(reader.stats().corruptEvicted, 1u);
+    CompiledLoop out;
+    for (std::size_t i = 0; i + 1 < loops.size(); ++i) {
+        ASSERT_TRUE(reader.lookup(keys[i], out)) << "record " << i;
+        expectLoopsIdentical(compiled[i], out,
+                             "record " + std::to_string(i));
+    }
+    EXPECT_FALSE(reader.lookup(keys.back(), out));
+
+    // Appending behind the torn tail would hide the new record from
+    // every later scan, so the reader's own store lands in a segment
+    // of its own and is seen by the next instance.
+    reader.store(keys.back(), compiled.back());
+    DiskCache reopened(dir, 0);
+    ASSERT_TRUE(reopened.lookup(keys.back(), out));
+    expectLoopsIdentical(compiled.back(), out, "stored after tail");
     fs::remove_all(dir);
 }
 
@@ -376,8 +480,8 @@ TEST(DiskCache, WrongButWellFormedRecordIsServedAndFailsCheckRecord)
 // --- fault injection at the cache boundary -------------------------
 
 /**
- * A failed compile must be invisible to both cache tiers: no .gpc
- * record on disk, no in-memory entry, stats().failed counts it, a
+ * A failed compile must be invisible to both cache tiers: no record
+ * on disk, no in-memory entry, stats().failed counts it, a
  * rerun recompiles from scratch (no negative caching), and once the
  * input is fixed the same engine compiles, succeeds, and stores the
  * result exactly once.
@@ -408,7 +512,7 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     EngineStats stats = engine.stats();
     EXPECT_EQ(stats.failed, 1u);
     EXPECT_EQ(stats.diskStores, 0u);
-    EXPECT_TRUE(recordFiles(dir).empty())
+    EXPECT_TRUE(recordSpans(dir).empty())
         << "a failed compile must never publish a record";
 
     // Retry: a fresh miss on both tiers, recompiled, same failure.
@@ -435,8 +539,48 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     EngineStats healed = engine.stats();
     EXPECT_EQ(healed.failed, 2u);
     EXPECT_EQ(healed.diskStores, 1u);
-    EXPECT_EQ(recordFiles(dir).size(), 1u);
+    EXPECT_EQ(recordSpans(dir).size(), 1u);
     fs::remove_all(dir);
+}
+
+/**
+ * Stores that fail on I/O are counted, never fatal, and never
+ * surface a wrong result. Removing the directory under an open engine
+ * fails every store as root too (nothing can be created in a
+ * directory that no longer exists).
+ */
+TEST(DiskCache, FailedStoresAreCountedAndCompilesStillSucceed)
+{
+    std::string dir = freshCacheDir("storeerrors");
+    LatencyTable lat;
+    std::vector<Program> suite = specFp95Suite(lat);
+    suite.resize(2);
+    MachineConfig m = fourClusterConfig(32, 1);
+    std::vector<EngineJob> batch = suiteBatch(suite, m);
+
+    Engine reference(serialEngineOptions());
+    std::vector<CompiledLoop> expected =
+        unwrapAll(reference.compileBatch(batch));
+
+    EngineOptions options;
+    options.jobs = 2;
+    options.cacheDir = dir;
+    Engine engine(options);
+    fs::remove_all(dir);
+    std::vector<CompiledLoop> results =
+        unwrapAll(engine.compileBatch(batch));
+
+    EngineStats stats = engine.stats();
+    EXPECT_GT(stats.diskStoreErrors, 0u);
+    EXPECT_EQ(stats.diskStores, 0u);
+    EXPECT_EQ(stats.diskHits, 0u);
+    EXPECT_EQ(stats.failed, 0u);
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        expectLoopsIdentical(expected[i], results[i],
+                             "batch index " + std::to_string(i));
+    }
+    EXPECT_FALSE(fs::exists(dir));
 }
 
 // --- size budget ---------------------------------------------------
@@ -467,7 +611,53 @@ TEST(DiskCache, CompactionEnforcesTheByteBudget)
     // differ slightly in size, so allow one record of slack.
     EXPECT_LE(cache.residentBytes(), budget + recordSize);
     EXPECT_GT(cache.stats().compacted, 0u);
-    EXPECT_FALSE(recordFiles(dir).empty());
+    EXPECT_FALSE(recordSpans(dir).empty());
+    fs::remove_all(dir);
+}
+
+// --- file count ----------------------------------------------------
+
+/**
+ * Records share segment files: a cold run that stores 2000 records
+ * leaves a handful of files, not one file (and one directory entry)
+ * per record.
+ */
+TEST(DiskCache, ColdRunOfTwoThousandStoresLeavesFewFiles)
+{
+    std::string dir = freshCacheDir("filecount");
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    // The trip count is part of the key: one shape, 2000 keys.
+    std::vector<Ddg> loops;
+    for (int trip = 1; trip <= 2000; ++trip) {
+        loops.push_back(chainLoop(6, lat));
+        loops.back().setTripCount(trip);
+    }
+    std::vector<EngineJob> batch;
+    for (const Ddg &g : loops)
+        batch.push_back(EngineJob{&g, &m, SchedulerKind::Gp, {}});
+
+    EngineOptions options;
+    options.jobs = 2;
+    options.cacheDir = dir;
+    {
+        Engine engine(options);
+        unwrapAll(engine.compileBatch(batch));
+        EXPECT_EQ(engine.stats().diskStores, 2000u);
+    }
+    std::size_t files = 0;
+    for (const fs::directory_entry &entry :
+         fs::recursive_directory_iterator(dir)) {
+        (void)entry;
+        ++files;
+    }
+    EXPECT_LE(files, 4u) << "one file per record is back";
+    EXPECT_EQ(recordSpans(dir).size(), 2000u);
+
+    Engine warm(options);
+    unwrapAll(warm.compileBatch(batch));
+    EXPECT_EQ(warm.stats().diskHits, 2000u);
+    EXPECT_EQ(warm.stats().cacheMisses, 0u);
     fs::remove_all(dir);
 }
 
@@ -477,8 +667,9 @@ TEST(DiskCache, CompactionEnforcesTheByteBudget)
  * Two engines — two in-memory caches, one shared directory — compile
  * an overlapping batch concurrently. Results must be bit-identical
  * to a serial cache-less run, and the store must contain only
- * complete, valid records afterwards (the atomic-rename guarantee);
- * run under TSan to audit the synchronization.
+ * complete, valid records afterwards (each writer appends whole
+ * records to segments of its own); run under TSan to audit the
+ * synchronization.
  */
 TEST(DiskCache, ConcurrentEnginesSharingADirectoryStayExact)
 {
@@ -518,19 +709,23 @@ TEST(DiskCache, ConcurrentEnginesSharingADirectoryStayExact)
                              "engine B index " + std::to_string(i));
     }
 
-    // No partial records: no temp files remain and every record in
-    // the store decodes and verifies in full.
+    // No partial records: no stray files remain, the records frame
+    // every segment byte, and each decodes and verifies in full.
     EXPECT_TRUE(strayFiles(dir).empty());
-    std::vector<fs::path> records = recordFiles(dir);
+    std::vector<RecordSpan> records = recordSpans(dir);
     EXPECT_FALSE(records.empty());
-    for (const fs::path &path : records) {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
+    std::uint64_t framed = 0;
+    for (const RecordSpan &span : records) {
+        framed += span.length;
         LoopKey key;
         CompiledLoop value;
-        EXPECT_TRUE(decodeCacheRecord(buffer.str(), key, value))
-            << path << " is not a complete valid record";
+        EXPECT_TRUE(decodeCacheRecord(spanBytes(span), key, value))
+            << span.segment << " @" << span.offset
+            << " is not a complete valid record";
     }
+    std::uint64_t segmentBytes = 0;
+    for (const fs::path &segment : segmentFiles(dir))
+        segmentBytes += fs::file_size(segment);
+    EXPECT_EQ(framed, segmentBytes) << "a segment has a torn tail";
     fs::remove_all(dir);
 }
